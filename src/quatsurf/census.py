@@ -3,13 +3,17 @@
 The prime set P attached to a family of relative quadratic extensions
 consists of the rational primes p that split in the base field k and whose
 primes of k see every generator beta_i and conjugate reduce to a nonsquare.
-Membership is decided one prime at a time with exact modular arithmetic; the
-bulk scans only use numpy for prime generation.  Squarefree integers
-supported on P are counted twice over, by a sieve and by direct enumeration
-of subset products, and the two counts must agree exactly.
+Bulk scans run one engine: a segmented sieve over [lo, hi], then, per
+segment, the membership test vectorised over the primes in int64 numpy
+(exact below SCAN_LIMIT).  Single queries (in_P) keep the scalar test with
+exact modular arithmetic for primes of any size.  Squarefree integers
+supported on P are counted by enumerating subset products of the members.
 """
 
+import contextlib
+import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -47,21 +51,137 @@ def _nonsquare_at_all(delta: int, xs: tuple[int, ...], p: int) -> bool:
     return True
 
 
-def _scan_range(delta: int, xs: tuple[int, ...], boundary: tuple[int, ...], lo: int, hi: int) -> list[int]:
-    """Members of P in [lo, hi]; standalone so shards can run in worker processes."""
-    ps = arith.primes_up_to(hi)
-    ps = ps[np.searchsorted(ps, lo) :]
-    excl = set(boundary) | {2}
-    out = []
-    for p in ps:
-        pi = int(p)
-        if pi not in excl and _nonsquare_at_all(delta, xs, pi):
-            out.append(pi)
+SEGMENT = 1 << 20
+"""Integers per sieve segment: a 1 MB bool strip, and well under 1 MB per int64 lane array."""
+
+SCAN_LIMIT = 3 * 10**9
+"""Scans multiply residues in int64, which is exact while p^2 < 2^63, i.e. p < 3.03e9."""
+
+
+def _residues(n: int, ps: np.ndarray) -> np.ndarray:
+    """n mod p for every p in ps, for a Python int n of any size (Horner in base 2^31)."""
+    digits = []
+    m = abs(n)
+    while m:
+        digits.append(m & 0x7FFFFFFF)
+        m >>= 31
+    acc = np.zeros_like(ps)
+    for d in reversed(digits):
+        acc = (acc * (1 << 31) + d) % ps
+    return (-acc) % ps if n < 0 else acc
+
+
+def _powmod(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """b**e mod p lane by lane, for 0 <= b < p < SCAN_LIMIT and e >= 0."""
+    r = np.ones_like(p)
+    e = e.copy()
+    while True:
+        r = np.where(e & 1, r * b % p, r)
+        e >>= 1
+        if not e.any():
+            return r
+        b = b * b % p
+
+
+def _euler(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Legendre symbols by Euler's criterion, as residues: 1, p - 1, or 0."""
+    return _powmod(a, (p - 1) >> 1, p)
+
+
+def _nonresidues(p: np.ndarray) -> np.ndarray:
+    """A quadratic nonresidue z mod each prime p = 1 (mod 4): the least odd prime with (p|z) = -1.
+
+    For p = 1 (mod 4) reciprocity gives (z|p) = (p|z), so each candidate z
+    costs one lookup in its table of residues mod z.
+    """
+    z = np.zeros_like(p)
+    for q in arith.iter_primes(3):
+        todo = z == 0
+        if not todo.any():
+            return z
+        nonres = np.array([arith.kronecker(r, q) == -1 for r in range(q)])
+        z[todo & nonres[p % q]] = q
+
+
+def _tonelli_shanks(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Square roots of the residues a mod primes p = 1 (mod 8) (Cohen, GTM 138, Alg. 1.5.1).
+
+    Each round finishes some lanes; the next round runs on the rest only.
+    """
+    low = (p - 1) & -(p - 1)
+    m = np.frexp(low.astype(np.float64))[1].astype(np.int64) - 1  # p - 1 = q * 2^m, q odd
+    q = (p - 1) // low
+    c = _powmod(_nonresidues(p), q, p)
+    w = _powmod(a, (q - 1) >> 1, p)
+    r = a * w % p  # a^((q+1)/2)
+    t = r * w % p  # a^q
+    out = np.empty_like(p)
+    lane = np.arange(len(p))
+    while len(lane):
+        done = t == 1
+        out[lane[done]] = r[done]
+        keep = ~done
+        lane, p, r, t, c, m = lane[keep], p[keep], r[keep], t[keep], c[keep], m[keep]
+        # least i with t^(2^i) = 1; 0 < i < m
+        i = np.ones_like(m)
+        t2 = t * t % p
+        while (pending := t2 != 1).any():
+            i += pending
+            t2 = t2 * t2 % p
+        b = _powmod(c, np.left_shift(1, m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
     return out
 
 
-def _scan_range_args(args) -> list[int]:
-    return _scan_range(*args)
+def _sqrt_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """One square root of each quadratic residue a mod odd prime p (a nonzero)."""
+    r = np.empty_like(p)
+    mod4, mod8 = p & 3, p & 7
+    lanes = mod4 == 3
+    r[lanes] = _powmod(a[lanes], (p[lanes] + 1) >> 2, p[lanes])
+    lanes = mod8 == 5  # Atkin: with v = (2a)^((p-5)/8) and i = 2a*v^2 (a root of -1), r = a*v*(i-1)
+    pl, al = p[lanes], a[lanes]
+    a2 = 2 * al % pl
+    v = _powmod(a2, (pl - 5) >> 3, pl)
+    i = a2 * v % pl * v % pl
+    r[lanes] = al * v % pl * ((i - 1) % pl) % pl
+    lanes = mod8 == 1
+    r[lanes] = _tonelli_shanks(a[lanes], p[lanes])
+    return r
+
+
+def _segment_primes(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi], 2 <= lo, sieved by the base primes up to sqrt(hi) (Bays-Hudson)."""
+    strip = np.ones(hi - lo + 1, dtype=bool)
+    for p in arith.primes_up_to(math.isqrt(hi)).tolist():
+        start = max(p * p, -(-lo // p) * p)
+        strip[start - lo :: p] = False
+    return np.flatnonzero(strip) + lo
+
+
+def _scan_segment(delta: int, xs: tuple[int, ...], boundary: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+    """Members of P in [lo, hi]; standalone so segments can run in worker processes.
+
+    The cheap conditions go first: (delta|p) = 1 and (x^2 - delta|p) = 1 for
+    every x.  Square roots r of delta are taken on the survivors only.  As
+    (x + r)(x - r) = x^2 - delta is then a nonzero square, (x - r|p) equals
+    (x + r|p), so one symbol per generator decides.
+    """
+    ps = _segment_primes(lo, hi)
+    ps = ps[~np.isin(ps, boundary)]
+    ps = ps[_euler(_residues(delta, ps), ps) == 1]
+    for x in xs:
+        ps = ps[_euler(_residues(x * x - delta, ps), ps) == 1]
+    if not xs:
+        return ps
+    r = _sqrt_mod(_residues(delta, ps), ps)
+    for x in xs:
+        keep = _euler((_residues(x, ps) + r) % ps, ps) == ps - 1
+        ps, r = ps[keep], r[keep]
+    return ps
 
 
 class PrimePredicate:
@@ -99,27 +219,33 @@ class PrimePredicate:
         return _nonsquare_at_all(self.delta_k, self.xs, p)
 
     def members_up_to(self, bound: int, shards: int = 1, progress: Callable[[int], None] | None = None) -> np.ndarray:
-        """Ascending int64 array of the members of P up to bound (cached)."""
+        """Ascending int64 array of the members of P up to bound (cached).
+
+        The scan runs in segments of SEGMENT integers; shards > 1 spreads them
+        over at most os.cpu_count() worker processes.  progress(hi) is called
+        once per segment, in ascending order.  Bounds from SCAN_LIMIT on are
+        refused, since the int64 arithmetic would no longer be exact.
+        """
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        if bound >= SCAN_LIMIT:
+            raise ValueError(f"scan bound {bound} is beyond the exact int64 range (< {SCAN_LIMIT})")
         if bound > self._scanned_to:
-            lo = self._scanned_to + 1
-            ranges = []
-            step = max(10, (bound - lo + 1) // max(1, shards))
-            start = lo
-            while start <= bound:
-                stop = min(bound, start + step - 1)
-                ranges.append((self.delta_k, self.xs, tuple(sorted(self.boundary)), start, stop))
-                start = stop + 1
-            if shards > 1 and len(ranges) > 1:
-                with ProcessPoolExecutor(max_workers=shards) as pool:
-                    chunks = list(pool.map(_scan_range_args, ranges))
-            else:
-                chunks = []
-                for r in ranges:
-                    chunks.append(_scan_range_args(r))
+            scan = functools.partial(_scan_segment, self.delta_k, self.xs, tuple(sorted(self.boundary)))
+            los = range(self._scanned_to + 1, bound + 1, SEGMENT)
+            his = [min(bound, lo + SEGMENT - 1) for lo in los]
+            workers = min(shards, os.cpu_count() or 1, len(los))
+            chunks = [self._members]
+            with contextlib.ExitStack() as stack:
+                if workers > 1:
+                    results = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map(scan, los, his)
+                else:
+                    results = map(scan, los, his)
+                for hi, found in zip(his, results):
+                    chunks.append(found)
                     if progress is not None:
-                        progress(r[4])
-            new = [p for chunk in chunks for p in chunk]
-            self._members = np.concatenate([self._members, np.asarray(new, dtype=np.int64)])
+                        progress(hi)
+            self._members = np.concatenate(chunks)
             self._scanned_to = bound
         return self._members[: int(np.searchsorted(self._members, bound, side="right"))]
 
@@ -176,39 +302,6 @@ def prime_density_report(
     return DensityReport(rows)
 
 
-def _squarefree_count_sieve(pred: PrimePredicate, bound: int, segment: int = 1 << 20) -> int:
-    """Sieve mode: strike multiples of non-members and of every p^2, count survivors.
-
-    Processes [2, bound] in disjoint segments; each segment is an independent
-    boolean strip, so the merge is plain addition.
-    """
-    members = pred.members_up_to(bound)
-    member_set = {int(m) for m in members}
-    all_primes = [int(p) for p in arith.primes_up_to(bound)]
-    non_members = [p for p in all_primes if p not in member_set]
-    squares = [p * p for p in all_primes if p * p <= bound]
-    total = 0
-    lo = 2
-    while lo <= bound:
-        hi = min(bound, lo + segment - 1)
-        good = np.ones(hi - lo + 1, dtype=bool)
-        for p in non_members:
-            if p > hi:
-                break
-            start = ((lo + p - 1) // p) * p
-            if start <= hi:
-                good[start - lo :: p] = False
-        for q in squares:
-            if q > hi:
-                break
-            start = ((lo + q - 1) // q) * q
-            if start <= hi:
-                good[start - lo :: q] = False
-        total += int(good.sum())
-        lo = hi + 1
-    return total
-
-
 def _iter_subset_products(members: list[int], bound: int):
     stack = [(1, 0)]
     while stack:
@@ -221,26 +314,16 @@ def _iter_subset_products(members: list[int], bound: int):
             stack.append((nxt, j + 1))
 
 
-def _squarefree_count_enumerate(pred: PrimePredicate, bound: int) -> int:
-    """Enumeration mode: walk products of strictly increasing members of P."""
-    members = [int(m) for m in pred.members_up_to(bound)]
-    return sum(1 for _ in _iter_subset_products(members, bound))
-
-
-def count_squarefree_over_P(pred: PrimePredicate, bound: int, mode: str = "sieve") -> int:
+def count_squarefree_over_P(pred: PrimePredicate, bound: int) -> int:
     """Squarefree d with 2 <= d <= bound, all prime factors in P.
 
     d = 1 is excluded: the empty product corresponds to a matrix algebra.
-    Both modes must agree exactly; "sieve" strikes a segmented boolean strip,
-    "enumerate" walks subset products of the member list.
+    Counted by walking the products of strictly increasing members of P.
     """
     if bound < 2:
         return 0
-    if mode == "sieve":
-        return _squarefree_count_sieve(pred, bound)
-    if mode == "enumerate":
-        return _squarefree_count_enumerate(pred, bound)
-    raise ValueError(f"unknown mode {mode!r}")
+    members = [int(m) for m in pred.members_up_to(bound)]
+    return sum(1 for _ in _iter_subset_products(members, bound))
 
 
 def squarefree_values(pred: PrimePredicate, bound: int) -> list[int]:

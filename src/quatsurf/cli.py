@@ -192,7 +192,7 @@ def _cmd_census(args) -> int:
     sf_checkpoints = checkpoints or default_checkpoints(scan_bound)
     counts = []
     for c in sf_checkpoints:
-        n_c = count_squarefree_over_P(pred, c, mode="enumerate")
+        n_c = count_squarefree_over_P(pred, c)
         counts.append((c, n_c))
         rows.append(
             {
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="family size (0 = bare split primes)")
     p.add_argument("--x", type=float, required=True, help="discriminant-norm bound, e.g. 1e8")
     p.add_argument("--checkpoints", help="comma-separated checkpoints (default: powers of 10)")
-    p.add_argument("--shards", type=int, default=1, help="independent scan ranges fanned out over processes")
+    p.add_argument("--shards", type=int, default=1, help="worker processes for the prime scan (clamped to the CPU count)")
     p.add_argument("--progress", action="store_true", help="progress lines on the diagnostic stream")
     common(p)
     p.set_defaults(func=_cmd_census)

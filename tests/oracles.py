@@ -2,13 +2,17 @@
 
 Splitting oracles factor minimal polynomials mod p by exhaustive root
 enumeration; the Pell oracle iterates b directly; the recovery oracle redoes
-the subfield intersection with enumeration-based splitting throughout.
+the subfield intersection with enumeration-based splitting throughout.  The
+P-membership oracle finds square roots by enumeration; the squarefree sieve
+counts P-supported integers by striking a boolean strip.
 """
 
+import functools
 import math
 
 import numpy as np
 
+from quatsurf import arith
 from quatsurf.quadfields import SplitType
 
 
@@ -24,9 +28,29 @@ def quadratic_split_oracle(delta: int, p: int) -> SplitType:
     return {2: SplitType.SPLIT, 0: SplitType.INERT, 1: SplitType.RAMIFIED}[roots]
 
 
+@functools.lru_cache(maxsize=1)
+def _squares_mod(p: int) -> np.ndarray:
+    """t^2 mod p for t = 0..p-1; the most recent p stays cached, so loops
+    that ask many questions about one prime enumerate it once."""
+    t = np.arange(p, dtype=np.int64)
+    return t * t % p
+
+
 def is_square_mod_oracle(b: int, p: int) -> bool:
-    b %= p
-    return any((t * t) % p == b for t in range(p))
+    return bool((_squares_mod(p) == b % p).any())
+
+
+def prime_in_P_oracle(delta: int, xs, p: int) -> bool:
+    """Membership of an odd prime p in the prime set P, by enumeration.
+
+    p must split in k: delta has two distinct square roots mod p.  At one of
+    them, r, every x + r and x - r must be a nonzero nonsquare mod p.
+    """
+    roots = np.flatnonzero(_squares_mod(p) == delta % p)
+    if len(roots) != 2:
+        return False
+    r = int(roots[0])
+    return all(not is_square_mod_oracle(x + s * r, p) for x in xs for s in (1, -1))
 
 
 def prime_in_L_oracle(ext, prime) -> SplitType | None:
@@ -41,6 +65,40 @@ def prime_in_L_oracle(ext, prime) -> SplitType | None:
             v += 1
         return SplitType.RAMIFIED if v % 2 == 1 else None
     return SplitType.SPLIT if is_square_mod_oracle(b, p) else SplitType.INERT
+
+
+def squarefree_count_sieve_oracle(pred, bound: int, segment: int = 1 << 20) -> int:
+    """Squarefree P-supported d in [2, bound]: strike multiples of non-members
+    and of every p^2, count survivors.
+
+    Processes [2, bound] in disjoint segments; each segment is an independent
+    boolean strip, so the merge is plain addition.
+    """
+    members = pred.members_up_to(bound)
+    member_set = {int(m) for m in members}
+    all_primes = [int(p) for p in arith.primes_up_to(bound)]
+    non_members = [p for p in all_primes if p not in member_set]
+    squares = [p * p for p in all_primes if p * p <= bound]
+    total = 0
+    lo = 2
+    while lo <= bound:
+        hi = min(bound, lo + segment - 1)
+        good = np.ones(hi - lo + 1, dtype=bool)
+        for p in non_members:
+            if p > hi:
+                break
+            start = ((lo + p - 1) // p) * p
+            if start <= hi:
+                good[start - lo :: p] = False
+        for q in squares:
+            if q > hi:
+                break
+            start = ((lo + q - 1) // q) * q
+            if start <= hi:
+                good[start - lo :: q] = False
+        total += int(good.sum())
+        lo = hi + 1
+    return total
 
 
 def quartic_root_count(ext, p: int) -> int:

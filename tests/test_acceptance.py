@@ -28,7 +28,7 @@ from quatsurf.relquad import splitting_in_L
 from quatsurf.volumes import dirichlet_L2, fuchsian_coarea, kleinian_covolume
 from quatsurf.quatalg import QuatAlgQ
 
-from oracles import catalan_oracle, prime_in_L_oracle, quadratic_split_oracle
+from oracles import catalan_oracle, prime_in_L_oracle, quadratic_split_oracle, squarefree_count_sieve_oracle
 
 IMAGINARY_DELTAS = (-3, -4, -7, -8, -11)
 ALL_DELTAS = IMAGINARY_DELTAS + (5, 8, 12, 13)
@@ -87,11 +87,11 @@ def test_criterion_03_prime_density(predicate_n1_scanned):
 def test_criterion_04_squarefree_census_stabilization(predicate_n1_scanned):
     tau = 1 / 8
     norm = lambda x, n: n / (x * math.log(x) ** (tau - 1))  # noqa: E731
-    n6 = count_squarefree_over_P(predicate_n1_scanned, 10**6, "enumerate")
-    n7 = count_squarefree_over_P(predicate_n1_scanned, 10**7, "enumerate")
+    n6 = count_squarefree_over_P(predicate_n1_scanned, 10**6)
+    n7 = count_squarefree_over_P(predicate_n1_scanned, 10**7)
     drift = abs(norm(10**7, n7) - norm(10**6, n6)) / norm(10**6, n6)
     assert drift < 0.10, drift
-    sieve6 = count_squarefree_over_P(predicate_n1_scanned, 10**6, "sieve")
+    sieve6 = squarefree_count_sieve_oracle(predicate_n1_scanned, 10**6)
     assert sieve6 == n6
     report(4, f"N(1e6)={n6}, N(1e7)={n7}, normalized drift {drift:.3%} < 10%; sieve and enumeration agree at 1e6")
 

@@ -1,8 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
+from quatsurf import arith, census
 from quatsurf.census import (
+    SCAN_LIMIT,
+    SEGMENT,
     PrimePredicate,
     algebra_census,
     count_squarefree_over_P,
@@ -12,9 +16,12 @@ from quatsurf.census import (
     wood_stats,
 )
 from quatsurf.errors import BoundaryPrimeError
+from quatsurf.fieldforge import construct_fields
 from quatsurf.quadfields import QuadraticField, SplitType, fundamental_discriminants, splitting
 from quatsurf.quatalg import embeds, fuchsian_admissible, is_isomorphic
 from quatsurf.relquad import RelQuadExt
+
+from oracles import prime_in_P_oracle, squarefree_count_sieve_oracle
 
 
 class TestInP:
@@ -60,6 +67,96 @@ class TestInP:
             assert pred.in_P(p) == (splitting(k, p) is SplitType.SPLIT)
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestMembersScan:
+    def test_matches_enumeration_oracle(self):
+        preds = [
+            PrimePredicate(delta, construct_fields(delta, n).extensions if n else [])
+            for delta in (-3, -4, -7, -8, -11)
+            for n in range(4)
+        ]
+        want = {pred: [] for pred in preds}
+        for p in arith.primes_up_to(2 * 10**4).tolist():  # primes outermost: the oracle caches per p
+            for pred in preds:
+                if p not in pred.boundary and prime_in_P_oracle(pred.delta_k, pred.xs, p):
+                    want[pred].append(p)
+        for pred in preds:
+            assert pred.members_up_to(2 * 10**4).tolist() == want[pred], (pred.delta_k, pred.xs)
+
+    def test_matches_scalar_test_to_1e6(self):
+        pred = PrimePredicate(-4, construct_fields(-4, 2).extensions)
+        primes = [p for p in arith.primes_up_to(10**6).tolist() if p not in pred.boundary]
+        want = [p for p in primes if pred.in_P(p)]
+        assert pred.members_up_to(10**6).tolist() == want
+
+    def test_incremental_scan_matches_single_scan(self, family_n1):
+        # bounds off the segment grid, so the incremental segments start elsewhere
+        whole = PrimePredicate(-4, family_n1.extensions).members_up_to(2 * SEGMENT + 12_345)
+        pred = PrimePredicate(-4, family_n1.extensions)
+        for bound in (100, SEGMENT - 777, 2 * SEGMENT + 12_345):
+            part = pred.members_up_to(bound)
+        assert np.array_equal(part, whole)
+        assert np.array_equal(pred.members_up_to(SEGMENT), whole[whole <= SEGMENT])
+
+    def test_process_pool_matches_serial(self, family_n1):
+        bound = 2 * SEGMENT + 999
+        serial = PrimePredicate(-4, family_n1.extensions).members_up_to(bound)
+        sharded = PrimePredicate(-4, family_n1.extensions).members_up_to(bound, shards=2)
+        assert np.array_equal(serial, sharded)
+
+    def test_shards_clamped_to_cpu_count(self, family_n1, monkeypatch):
+        pools = []
+
+        def fake_pool(max_workers):
+            pools.append(_InlinePool(max_workers))
+            return pools[-1]
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", fake_pool)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        reports = []
+        bound = 3 * SEGMENT + 5
+        members = PrimePredicate(-4, family_n1.extensions).members_up_to(bound, shards=100_000, progress=reports.append)
+        assert [p.max_workers for p in pools] == [2]
+        assert reports == [SEGMENT + 1, 2 * SEGMENT + 1, 3 * SEGMENT + 1, bound]
+        assert np.array_equal(members, PrimePredicate(-4, family_n1.extensions).members_up_to(bound))
+
+    def test_shards_below_one_rejected(self, family_n1):
+        pred = PrimePredicate(-4, family_n1.extensions)
+        for shards in (0, -3):
+            with pytest.raises(ValueError):
+                pred.members_up_to(1000, shards=shards)
+
+    def test_int64_limit_refused(self, family_n1):
+        pred = PrimePredicate(-4, family_n1.extensions)
+        for bound in (SCAN_LIMIT, 10**12):
+            with pytest.raises(ValueError, match="int64"):
+                pred.members_up_to(bound)
+        assert pred.members_up_to(100)[0] == 41
+
+    def test_in_P_beyond_scan_limit(self, predicate_n1):
+        from sympy.ntheory import is_quad_residue, sqrt_mod
+
+        primes = arith.iter_primes(SCAN_LIMIT + 10**6)
+        for p in (next(primes) for _ in range(40)):
+            want = is_quad_residue(-4, p) and not any(is_quad_residue(1 + s * sqrt_mod(-4, p), p) for s in (1, -1))
+            assert predicate_n1.in_P(p) == want, p
+
+
 class TestDensityReport:
     def test_n0_near_half(self):
         report = prime_density_report(PrimePredicate(-4), 10**5)
@@ -72,8 +169,6 @@ class TestDensityReport:
         assert report.rows[-1].checkpoint == 10**4
 
     def test_n2_family_near_one_thirtysecond(self):
-        from quatsurf.fieldforge import construct_fields
-
         fam = construct_fields(-4, 2)
         report = prime_density_report(PrimePredicate(-4, fam.extensions), 10**6)
         assert 0.02 <= report.final_ratio <= 0.045  # around 1/32 = 0.03125
@@ -92,21 +187,13 @@ class TestSquarefreeCount:
     def test_dual_mode_agreement(self, predicate_n1):
         # include bounds that do not align with sieve segments or checkpoints
         for bound in (37, 1234, 10**3, 10**4, 99_999, 10**5):
-            sieve = count_squarefree_over_P(predicate_n1, bound, "sieve")
-            enum = count_squarefree_over_P(predicate_n1, bound, "enumerate")
-            assert sieve == enum, bound
+            assert squarefree_count_sieve_oracle(predicate_n1, bound) == count_squarefree_over_P(predicate_n1, bound), bound
 
     def test_dual_mode_agreement_n2(self):
-        from quatsurf.fieldforge import construct_fields
-
         fam = construct_fields(-4, 2)
         pred = PrimePredicate(-4, fam.extensions)
         for bound in (10**3, 10**4):
-            assert count_squarefree_over_P(pred, bound, "sieve") == count_squarefree_over_P(pred, bound, "enumerate")
-
-    def test_bad_mode(self, predicate_n1):
-        with pytest.raises(ValueError):
-            count_squarefree_over_P(predicate_n1, 100, "fancy")
+            assert squarefree_count_sieve_oracle(pred, bound) == count_squarefree_over_P(pred, bound)
 
 
 class TestMeanValueFit:
@@ -128,7 +215,7 @@ class TestMeanValueFit:
             mean_value_fit([(100, 5), (200, 8), (400, 12)], 0.5)
 
     def test_stabilizing_constant(self, predicate_n1):
-        counts = [(10**k, count_squarefree_over_P(predicate_n1, 10**k, "enumerate")) for k in (3, 4, 5)]
+        counts = [(10**k, count_squarefree_over_P(predicate_n1, 10**k)) for k in (3, 4, 5)]
         fit = mean_value_fit(counts, 1 / 8)
         assert fit.constant > 0
         assert fit.last_decade_drift < 0.10
@@ -144,7 +231,7 @@ class TestAlgebraCensus:
 
     def test_every_algebra_verified(self, family_n1, predicate_n1):
         census = algebra_census(-4, family_n1.extensions, 10**6, pred=predicate_n1)
-        assert census.count == count_squarefree_over_P(predicate_n1, math.isqrt(10**6 - 1), "enumerate")
+        assert census.count == count_squarefree_over_P(predicate_n1, math.isqrt(10**6 - 1))
         for alg in census.algebras:
             assert fuchsian_admissible(alg)
             for ext in family_n1.extensions:

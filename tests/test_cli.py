@@ -92,7 +92,7 @@ class TestCensusCommand:
 
         sf_rows = {int(r["checkpoint"]): int(r["count"]) for r in rows if r["table"] == "squarefree"}
         for checkpoint, count in sf_rows.items():
-            assert count == count_squarefree_over_P(predicate_n1, checkpoint, "enumerate")
+            assert count == count_squarefree_over_P(predicate_n1, checkpoint)
 
     def test_fit_row_present_at_1e8(self, capsys):
         code, out, _ = run_cli(["census", "--delta", "-4", "--n", "1", "--x", "1e8"], capsys)
@@ -110,6 +110,18 @@ class TestCensusCommand:
         _, noisy_out, noisy_err = run_cli(["census", "--delta", "-4", "--n", "1", "--x", "1e6", "--progress"], capsys)
         assert noisy_out == plain_out  # data stream untouched
         assert "scanned primes to" in noisy_err
+
+    def test_progress_with_shards(self, capsys):
+        _, plain_out, _ = run_cli(["census", "--delta", "-4", "--n", "1", "--x", "1e6"], capsys)
+        _, noisy_out, noisy_err = run_cli(["census", "--delta", "-4", "--n", "1", "--x", "1e6", "--shards", "2", "--progress"], capsys)
+        assert noisy_out == plain_out
+        assert "scanned primes to" in noisy_err
+
+    def test_bad_scan_requests_exit_2(self, capsys):
+        for extra in (["--x", "1e6", "--shards", "0"], ["--x", "1e20"]):
+            code, _, err = run_cli(["census", "--delta", "-4", "--n", "1"] + extra, capsys)
+            assert code == 2, extra
+            assert err.startswith("error:"), extra
 
 
 class TestSurfacesDemoCommand:
