@@ -1,7 +1,7 @@
 """Elementary integer arithmetic: primality, Kronecker symbols, modular square roots.
 
 Everything here is exact integer arithmetic; numpy only appears in the bulk
-sieves.
+sieves and in powmod.
 """
 
 import math
@@ -59,15 +59,6 @@ def primes_up_to(n: int) -> np.ndarray:
         if sieve[p]:
             sieve[p * p :: p] = False
     return np.flatnonzero(sieve).astype(np.int64)
-
-
-def squarefree_table(n: int) -> np.ndarray:
-    """Boolean table t[0..n] with t[m] true iff m is squarefree (t[0] false)."""
-    t = np.ones(n + 1, dtype=bool)
-    t[0] = False
-    for p in range(2, math.isqrt(n) + 1):
-        t[p * p :: p * p] = False
-    return t
 
 
 def is_squarefree(n: int) -> bool:
@@ -150,6 +141,21 @@ def kronecker(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+POWMOD_LIMIT = 3 * 10**9  # int64 products of residues are exact while p^2 < 2^63, i.e. p < 3.03e9
+
+
+def powmod(b: np.ndarray, e, p) -> np.ndarray:
+    """b**e mod p elementwise (numpy broadcasting), for 0 <= b < p < POWMOD_LIMIT and e >= 0."""
+    r = np.ones(np.broadcast_shapes(np.shape(b), np.shape(e), np.shape(p)), dtype=np.int64)
+    e = np.array(e, dtype=np.int64)
+    while True:
+        r = np.where(e & 1, r * b % p, r)
+        e >>= 1
+        if not e.any():
+            return r
+        b = b * b % p
 
 
 def mod_sqrt(a: int, p: int) -> int:

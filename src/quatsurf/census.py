@@ -22,12 +22,7 @@ import numpy as np
 
 from . import arith
 from .errors import BoundaryPrimeError, VerificationError
-from .quadfields import (
-    QuadraticField,
-    SplitType,
-    fundamental_masks,
-    primes_above,
-)
+from .quadfields import QuadraticField, discriminant_blocks, kronecker_row, kronecker_table, primes_above
 from .quatalg import QuatAlgK, embeds, fuchsian_admissible
 from .relquad import RelQuadExt
 
@@ -54,8 +49,7 @@ def _nonsquare_at_all(delta: int, xs: tuple[int, ...], p: int) -> bool:
 SEGMENT = 1 << 20
 """Integers per sieve segment: a 1 MB bool strip, and well under 1 MB per int64 lane array."""
 
-SCAN_LIMIT = 3 * 10**9
-"""Scans multiply residues in int64, which is exact while p^2 < 2^63, i.e. p < 3.03e9."""
+SCAN_LIMIT = arith.POWMOD_LIMIT  # scans multiply residues in int64 (arith.powmod)
 
 
 def _residues(n: int, ps: np.ndarray) -> np.ndarray:
@@ -71,23 +65,6 @@ def _residues(n: int, ps: np.ndarray) -> np.ndarray:
     return (-acc) % ps if n < 0 else acc
 
 
-def _powmod(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """b**e mod p lane by lane, for 0 <= b < p < SCAN_LIMIT and e >= 0."""
-    r = np.ones_like(p)
-    e = e.copy()
-    while True:
-        r = np.where(e & 1, r * b % p, r)
-        e >>= 1
-        if not e.any():
-            return r
-        b = b * b % p
-
-
-def _euler(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Legendre symbols by Euler's criterion, as residues: 1, p - 1, or 0."""
-    return _powmod(a, (p - 1) >> 1, p)
-
-
 def _nonresidues(p: np.ndarray) -> np.ndarray:
     """A quadratic nonresidue z mod each prime p = 1 (mod 4): the least odd prime with (p|z) = -1.
 
@@ -99,8 +76,7 @@ def _nonresidues(p: np.ndarray) -> np.ndarray:
         todo = z == 0
         if not todo.any():
             return z
-        nonres = np.array([arith.kronecker(r, q) == -1 for r in range(q)])
-        z[todo & nonres[p % q]] = q
+        z[todo & (kronecker_table(q)[p % q] == -1)] = q
 
 
 def _tonelli_shanks(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -111,8 +87,8 @@ def _tonelli_shanks(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     low = (p - 1) & -(p - 1)
     m = np.frexp(low.astype(np.float64))[1].astype(np.int64) - 1  # p - 1 = q * 2^m, q odd
     q = (p - 1) // low
-    c = _powmod(_nonresidues(p), q, p)
-    w = _powmod(a, (q - 1) >> 1, p)
+    c = arith.powmod(_nonresidues(p), q, p)
+    w = arith.powmod(a, (q - 1) >> 1, p)
     r = a * w % p  # a^((q+1)/2)
     t = r * w % p  # a^q
     out = np.empty_like(p)
@@ -128,7 +104,7 @@ def _tonelli_shanks(a: np.ndarray, p: np.ndarray) -> np.ndarray:
         while (pending := t2 != 1).any():
             i += pending
             t2 = t2 * t2 % p
-        b = _powmod(c, np.left_shift(1, m - i - 1), p)
+        b = arith.powmod(c, np.left_shift(1, m - i - 1), p)
         r = r * b % p
         c = b * b % p
         t = t * c % p
@@ -141,11 +117,11 @@ def _sqrt_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     r = np.empty_like(p)
     mod4, mod8 = p & 3, p & 7
     lanes = mod4 == 3
-    r[lanes] = _powmod(a[lanes], (p[lanes] + 1) >> 2, p[lanes])
+    r[lanes] = arith.powmod(a[lanes], (p[lanes] + 1) >> 2, p[lanes])
     lanes = mod8 == 5  # Atkin: with v = (2a)^((p-5)/8) and i = 2a*v^2 (a root of -1), r = a*v*(i-1)
     pl, al = p[lanes], a[lanes]
     a2 = 2 * al % pl
-    v = _powmod(a2, (pl - 5) >> 3, pl)
+    v = arith.powmod(a2, (pl - 5) >> 3, pl)
     i = a2 * v % pl * v % pl
     r[lanes] = al * v % pl * ((i - 1) % pl) % pl
     lanes = mod8 == 1
@@ -165,21 +141,21 @@ def _segment_primes(lo: int, hi: int) -> np.ndarray:
 def _scan_segment(delta: int, xs: tuple[int, ...], boundary: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
     """Members of P in [lo, hi]; standalone so segments can run in worker processes.
 
-    The cheap conditions go first: (delta|p) = 1 and (x^2 - delta|p) = 1 for
-    every x.  Square roots r of delta are taken on the survivors only.  As
+    The cheap conditions go first, by Euler's criterion: (delta|p) = 1 and
+    (x^2 - delta|p) = 1 for every x.  Square roots r of delta are taken on the survivors only.  As
     (x + r)(x - r) = x^2 - delta is then a nonzero square, (x - r|p) equals
     (x + r|p), so one symbol per generator decides.
     """
     ps = _segment_primes(lo, hi)
     ps = ps[~np.isin(ps, boundary)]
-    ps = ps[_euler(_residues(delta, ps), ps) == 1]
+    ps = ps[arith.powmod(_residues(delta, ps), (ps - 1) >> 1, ps) == 1]
     for x in xs:
-        ps = ps[_euler(_residues(x * x - delta, ps), ps) == 1]
+        ps = ps[arith.powmod(_residues(x * x - delta, ps), (ps - 1) >> 1, ps) == 1]
     if not xs:
         return ps
     r = _sqrt_mod(_residues(delta, ps), ps)
     for x in xs:
-        keep = _euler((_residues(x, ps) + r) % ps, ps) == ps - 1
+        keep = arith.powmod((_residues(x, ps) + r) % ps, (ps - 1) >> 1, ps) == ps - 1
         ps, r = ps[keep], r[keep]
     return ps
 
@@ -424,28 +400,6 @@ class WoodStats(NamedTuple):
     ratio: float | None
 
 
-def _split_condition_table(ell: int, want: SplitType) -> np.ndarray:
-    """Boolean table over residues (mod ell, or mod 8 for ell = 2) for the
-    condition 'a discriminant with this residue has the given behavior at ell'."""
-    if ell == 2:
-        table = np.zeros(8, dtype=bool)
-        if want is SplitType.SPLIT:
-            table[1] = True
-        elif want is SplitType.INERT:
-            table[5] = True
-        else:
-            table[[0, 4]] = True
-        return table
-    table = np.zeros(ell, dtype=bool)
-    if want is SplitType.RAMIFIED:
-        table[0] = True
-        return table
-    for r in range(1, ell):
-        qr = arith.kronecker(r, ell) == 1
-        table[r] = qr if want is SplitType.SPLIT else not qr
-    return table
-
-
 def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats:
     """Count imaginary fundamental discriminants with prescribed splitting.
 
@@ -461,26 +415,21 @@ def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats
     q_inert = list(q_inert)
     if len(set(q_inert)) != len(q_inert):
         raise ValueError("duplicate primes in the inert list")
-    constrained = q_inert + ([q_split] if q_split is not None else [])
-    for q in constrained:
+    conditions = [(q, -1) for q in q_inert] + ([(q_split, 1)] if q_split is not None else [])
+    for q, _ in conditions:
         if not arith.is_prime(q):
             raise ValueError(f"{q} is not prime")
     if q_split is not None and q_split in q_inert:
         return WoodStats(0, 0.0, None)
 
-    neg, _pos = fundamental_masks(x)
-    mags = np.flatnonzero(neg).astype(np.int64)
-    keep = np.ones(len(mags), dtype=bool)
-    conditions = [(q_split, SplitType.SPLIT)] if q_split is not None else []
-    conditions += [(q, SplitType.INERT) for q in q_inert]
-    for q, want in conditions:
-        modulus = 8 if q == 2 else q
-        table = _split_condition_table(q, want)
-        keep &= table[(-mags) % modulus]
-    count = int(keep.sum())
+    count = 0
+    for discs in discriminant_blocks(x, "imaginary"):
+        for q, symbol in conditions:
+            discs = discs[kronecker_row(discs, q) == symbol]
+        count += len(discs)
 
     predicted = (6 / math.pi**2) * x * 0.5
-    for q in constrained:
+    for q, _ in conditions:
         predicted *= q / (2 * q + 2)
     return WoodStats(count, predicted, count / predicted if predicted > 0 else None)
 
@@ -502,10 +451,8 @@ def ramification_probability_check(ell: int, x: int) -> RamificationCheck:
         raise ValueError(f"{ell} is not prime")
     if x < 10**4:
         raise ValueError("x too small for meaningful statistics")
-    neg, pos = fundamental_masks(x)
-    total = int(neg.sum()) + int(pos.sum())
-    count = 0
-    for mask in (neg, pos):
-        idx = np.flatnonzero(mask)
-        count += int((idx % ell == 0).sum())
+    count = total = 0
+    for discs in discriminant_blocks(x):
+        total += len(discs)
+        count += int(np.count_nonzero(discs % ell == 0))
     return RamificationCheck(count, total, count / total, 1 / (ell + 1))

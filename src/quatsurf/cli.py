@@ -13,7 +13,7 @@ a flat JSON manifest describing flags and schema goes to stderr (or
 --out DIR/manifest.json).  --json swaps the CSV for a single JSON document
 containing both manifest and rows.  Floats print with 12 significant digits.
 Exit codes: 0 success, 2 usage or validation, 3 internal verification
-failure, 4 starved search bounds.
+failure, 4 starved search bounds (BoundsTooSmall, SearchCapExceeded).
 """
 
 import argparse
@@ -228,6 +228,9 @@ _DEMO_COLUMNS = ["table", "key", "i", "j", "value"]
 def _cmd_surfaces_demo(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    # --disc-bound parses as a float, which holds every integer only up to 2^53
+    if not (args.disc_bound.is_integer() and args.disc_bound <= 2**53):
+        raise ValueError(f"--disc-bound must be an integer no larger than 2^53, got {args.disc_bound!r}")
     n = args.n
     selection = select_q_primes(n)
     ps, qs = selection.p_primes, selection.q_primes
@@ -343,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surfaces-demo", help="n geodesics on pairwise distinct surfaces, with bounds")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--disc-bound", type=float, default=1e5, help="discriminant bound for the splitting statistics")
+    p.add_argument("--disc-bound", type=float, default=1e5, help="discriminant bound for the splitting statistics (an integer up to 2^53)")
     p.add_argument("--linnik-report", action="store_true", help="tabulate p_i against i*log(2i)")
     common(p)
     p.set_defaults(func=_cmd_surfaces_demo)
@@ -364,13 +367,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SearchCapExceeded) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except VerificationError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return EXIT_VERIFICATION
-    except BoundsTooSmall as exc:
+    except (BoundsTooSmall, SearchCapExceeded) as exc:
         sys.stderr.write(f"bounds too small: {exc}\n")
         return EXIT_STARVED
 

@@ -39,7 +39,8 @@ def hensel_sqrt(a: int, p: int) -> int:
     p2 = p * p
     inv = pow(2 * r0, -1, p2)
     r = (r0 - (r0 * r0 - a) * inv) % p2
-    assert r * r % p2 == a % p2
+    if r * r % p2 != a % p2:
+        raise VerificationError(f"Hensel lift {r} does not square to {a} mod {p2}")
     return min(r, p2 - r)
 
 

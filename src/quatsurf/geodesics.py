@@ -156,7 +156,8 @@ def fundamental_unit(d: int) -> RealQuadraticUnit:
         a = (P + isq) // Q
         quotients.append(a)
         P = a * Q - P
-        assert (d - P * P) % Q == 0
+        if (d - P * P) % Q:
+            raise VerificationError(f"Q = {Q} does not divide d - P^2 at P = {P}")
         Q = (d - P * P) // Q
     # (P, Q) now equals the state where the cycle starts
     cycle = quotients[seen[(P, Q)] :]
@@ -165,7 +166,7 @@ def fundamental_unit(d: int) -> RealQuadraticUnit:
         A, B, C, E = A * a + B, A, C * a + E, C
     u, v = C * P + E * Q, C
     if (2 * u) % Q or (2 * v) % Q:
-        raise AssertionError("continued-fraction automorphism is not integral")
+        raise VerificationError("continued-fraction automorphism is not integral")
     a_coef, b_coef = 2 * u // Q, 2 * v // Q
     norm = (a_coef * a_coef - d * b_coef * b_coef) // 4
     return RealQuadraticUnit(d, a_coef, b_coef, norm)
@@ -245,7 +246,7 @@ def _is_root_of_unity(coords: tuple[int, int, int, int], ext: RelQuadExt, max_or
         if power == [1, 0, 0, 0]:
             return True
         power = _poly_mul_mod(power, list(coords), c2, c0)
-    return True
+    return False
 
 
 def norm_one_unit_search(ext: RelQuadExt, height_cap: int) -> QuarticUnit | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import arith
-from .errors import SearchCapExceeded
+from .errors import SearchCapExceeded, VerificationError
 from .quadfields import QuadraticField, SplitType, splitting
 
 
@@ -84,7 +84,7 @@ def select_q_primes(n: int, search_ceiling: int = 10_000_000) -> QSelection:
                 break
     chosen = p_primes + q_primes
     if len(set(chosen)) != 2 * n + 1:
-        raise AssertionError("selected primes collide")
+        raise VerificationError("selected primes collide")
     return QSelection(n=n, p_primes=p_primes, q_primes=q_primes, max_q=max(q_primes))
 
 

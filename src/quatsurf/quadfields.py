@@ -143,57 +143,96 @@ def split_primes_prefix(k: QuadraticField, n: int, odd_only: bool = True) -> Spl
     return SplitPrimePrefix(found, found[-1] / (n * math.log(2 * n)))
 
 
-def fundamental_masks(x: int):
-    """Vectorized fundamental-discriminant tests for 0 <= a <= x.
+BLOCK = 1 << 20
+"""Values of |D| per block of the discriminant engine (two 1 MB bool strips)."""
 
-    Returns (neg, pos) boolean arrays: neg[a] true iff -a is fundamental,
-    pos[a] true iff +a is fundamental.
-    """
-    sf = arith.squarefree_table(x)
-    a = np.arange(x + 1)
-    m4 = a & 3
-    quarter = a >> 2
-    div4 = m4 == 0
-    qmod = quarter & 3
-    sf_quarter = np.zeros(x + 1, dtype=bool)
-    sf_quarter[div4] = sf[quarter[div4]]
-    neg = ((m4 == 3) & sf) | (div4 & ((qmod == 1) | (qmod == 2)) & sf_quarter)
-    pos = ((m4 == 1) & sf) | (div4 & ((qmod == 2) | (qmod == 3)) & sf_quarter)
-    if x >= 1:
-        pos[1] = False
-    return neg, pos
+
+def _squarefree_strip(lo: int, hi: int, small: list[int], large: np.ndarray) -> np.ndarray:
+    """t[i] true iff lo + i is squarefree (1 <= lo); small and large hold the prime
+    squares up to hi, split at BLOCK, so each large one strikes at most once."""
+    t = np.ones(hi - lo + 1, dtype=bool)
+    for q in small:
+        t[(-lo) % q :: q] = False
+    first = (-lo) % large
+    t[first[first < len(t)]] = False
+    return t
+
+
+def _fundamental_blocks(x: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, masks) per block of BLOCK values a = lo, lo + 1, ... of 3 <= a <= x:
+    masks[0, i] (masks[1, i]) true iff -(lo + i) (+(lo + i)) is fundamental."""
+    squares = arith.primes_up_to(math.isqrt(max(x, 0))) ** 2
+    small, large = [int(q) for q in squares[squares <= BLOCK]], squares[squares > BLOCK]
+    for lo in range(3, x + 1, BLOCK):
+        hi = min(x, lo + BLOCK - 1)
+        sf = _squarefree_strip(lo, hi, small, large)
+        masks = np.zeros((2, len(sf)), dtype=bool)
+        neg, pos = masks
+        # D = -a with a = 3 (mod 4), D = +a with a = 1 (mod 4), a squarefree
+        for mask, r in ((neg, 3), (pos, 1)):
+            mask[(r - lo) % 4 :: 4] = sf[(r - lo) % 4 :: 4]
+        # D = -4m with m = 1, 2 (mod 4), D = +4m with m = 2, 3 (mod 4), m squarefree
+        mlo, mhi = -(-lo // 4), hi // 4
+        sfm = _squarefree_strip(mlo, mhi, small, large)
+        for r, rows in ((1, (neg,)), (2, (neg, pos)), (3, (pos,))):
+            j = (r - mlo) % 4
+            for mask in rows:
+                mask[4 * (mlo + j) - lo :: 16] = sfm[j::4]
+        yield lo, masks
+
+
+def discriminant_blocks(x: int, sign: str = "both") -> Iterator[np.ndarray]:
+    """The fundamental discriminants with |D| <= x as int64 arrays, one per
+    block of BLOCK values of |D|; concatenated they run in ascending |D|, the
+    negative one first.  Memory is bounded by BLOCK and sqrt(x)."""
+    if sign not in ("imaginary", "real", "both"):
+        raise ValueError(f"bad sign {sign!r}")
+    for lo, (neg, pos) in _fundamental_blocks(x):
+        k = np.flatnonzero(np.stack((neg & (sign != "real"), pos & (sign != "imaginary")), axis=1).ravel())
+        discs = lo + (k >> 1)
+        discs[(k & 1) == 0] *= -1
+        yield discs
+
+
+def kronecker_table(p: int) -> np.ndarray:
+    """(D|p) over the residues of D mod p (mod 8 for p = 2), as int8, for a
+    prime p: 1 where p splits in Q(sqrt(D)), -1 where it is inert, 0 where it
+    ramifies (for p = 2 only the discriminant classes 0, 1, 4, 5 mod 8 occur)."""
+    if p == 2:
+        return np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
+    table = np.full(p, -1, dtype=np.int8)
+    table[np.arange((p + 1) // 2, dtype=np.int64) ** 2 % p] = 1
+    table[0] = 0
+    return table
+
+
+def kronecker_row(discs: np.ndarray, p: int) -> np.ndarray:
+    """(D|p) for each D of the int64 array discs, as int8: a kronecker_table(p)
+    lookup when the table is no longer than the row, else Euler's criterion
+    (scalar symbols from POWMOD_LIMIT on), so the cost is bounded by the row."""
+    if p == 2 or p <= len(discs):
+        return kronecker_table(p)[discs % (8 if p == 2 else p)]
+    if p < arith.POWMOD_LIMIT:
+        return ((arith.powmod(discs % p, (p - 1) // 2, p) + 1) % p - 1).astype(np.int8)
+    return np.array([arith.kronecker(d, p) for d in discs.tolist()], dtype=np.int8)
+
+
+def fundamental_masks(x: int):
+    """(neg, pos) bool arrays over 0 <= a <= x, filled block by block: neg[a]
+    (pos[a]) true iff -a (+a) is a fundamental discriminant."""
+    masks = np.zeros((2, x + 1), dtype=bool)
+    for lo, block in _fundamental_blocks(x):
+        masks[:, lo : lo + block.shape[1]] = block
+    return masks[0], masks[1]
 
 
 def fundamental_discriminants(x: int, sign: str = "both") -> Iterator[int]:
-    """Fundamental discriminants with |delta| <= x, ascending in |delta|.
-
-    sign is one of "imaginary", "real", "both"; at equal |delta| the negative
-    discriminant comes first.  Deterministic, no randomness.
-    """
-    if sign not in ("imaginary", "real", "both"):
-        raise ValueError(f"bad sign {sign!r}")
-    if x < 3:
-        return
-    neg, pos = fundamental_masks(x)
-    want_neg = sign in ("imaginary", "both")
-    want_pos = sign in ("real", "both")
-    for a in range(3, x + 1):
-        if want_neg and neg[a]:
-            yield -a
-        if want_pos and pos[a]:
-            yield a
+    """Fundamental discriminants with |delta| <= x, ascending in |delta|, the negative
+    one first at equal |delta|; sign is one of "imaginary", "real", "both"."""
+    for discs in discriminant_blocks(x, sign):
+        yield from discs.tolist()
 
 
 def count_fundamental_discriminants(x: int, sign: str = "both") -> int:
     """Count of fundamental discriminants with |delta| <= x (density 6/pi^2 for both signs)."""
-    if sign not in ("imaginary", "real", "both"):
-        raise ValueError(f"bad sign {sign!r}")
-    neg, pos = fundamental_masks(x)
-    total = 0
-    if sign in ("imaginary", "both"):
-        total += int(neg.sum())
-    if sign in ("real", "both"):
-        total += int(pos.sum())
-    return total
-
-
+    return sum(len(discs) for discs in discriminant_blocks(x, sign))

@@ -13,16 +13,11 @@ an algebra from the quadratic fields its rational ancestors can contain.
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from . import arith
 from .errors import BoundsTooSmall, CriterionOutOfScope, EmbeddingUndecidable
-from .quadfields import (
-    PrimeOfK,
-    QuadraticField,
-    SplitType,
-    fundamental_discriminants,
-    primes_above,
-    splitting,
-)
+from .quadfields import PrimeOfK, QuadraticField, SplitType, discriminant_blocks, kronecker_row, primes_above, splitting
 from .relquad import RelQuadExt, splitting_in_L
 
 
@@ -198,25 +193,33 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
     pairing = fuchsian_admissible(b)
     if not pairing:
         raise ValueError("algebra is not a base change of a rational algebra")
-    k = QuadraticField(b.delta_k)
     need_aux = len(pairing.primes) % 2 == 1
     candidates = [int(p) for p in arith.primes_up_to(prime_bound)]
-    nonsplit_in_k = [q for q in candidates if splitting(k, q) is not SplitType.SPLIT]
+    nonsplit_in_k = [q for q in candidates if arith.kronecker(b.delta_k, q) != 1]
 
-    surviving = set(candidates)
+    # one (D|p) row per prime and block: never the whole D x p matrix
+    surviving = candidates
     admissible = 0
-    for d in fundamental_discriminants(d_bound, "both"):
-        ell = QuadraticField(d)
-        if any(splitting(ell, p) is SplitType.SPLIT for p in pairing.primes):
-            continue
-        if need_aux and not any(splitting(ell, q) is not SplitType.SPLIT for q in nonsplit_in_k):
-            continue
-        admissible += 1
-        surviving &= {p for p in candidates if splitting(ell, p) is not SplitType.SPLIT}
+    for discs in discriminant_blocks(d_bound):
+        for p in pairing.primes:
+            discs = discs[kronecker_row(discs, p) != 1]
+        if need_aux:
+            aux = np.zeros(len(discs), dtype=bool)
+            for q in nonsplit_in_k:
+                aux |= kronecker_row(discs, q) != 1
+                if aux.all():
+                    break
+            discs = discs[aux]
+        admissible += len(discs)
+        # about half the fields split any given p, so scalar symbols on a short head
+        # strike most candidates; a row is built only for the few left
+        head = discs[:64].tolist()
+        surviving = [p for p in surviving if not any(arith.kronecker(d, p) == 1 for d in head)]
+        surviving = [p for p in surviving if not (kronecker_row(discs[64:], p) == 1).any()]
     if admissible == 0:
         raise BoundsTooSmall(f"no admissible quadratic field found below |D| = {d_bound}")
     return RecoveredRamification(
-        primes=sorted(surviving),
+        primes=surviving,
         admissible_field_count=admissible,
         d_bound=d_bound,
         prime_bound=prime_bound,

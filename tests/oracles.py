@@ -16,9 +16,20 @@ from quatsurf import arith
 from quatsurf.quadfields import SplitType
 
 
+ENUMERATION_LIMIT = 10**6
+
+
 def quadratic_split_oracle(delta: int, p: int) -> SplitType:
     """Factorization type of p from root counts of the integral generator's
-    minimal polynomial mod p: 2 roots split, 0 inert, 1 (double) ramified."""
+    minimal polynomial mod p: 2 roots split, 0 inert, 1 (double) ramified.
+
+    Past ENUMERATION_LIMIT the roots are counted as 1 + (delta|p), the
+    polynomial's discriminant being delta, with Euler's criterion in Python
+    integers (p odd there).
+    """
+    if p > ENUMERATION_LIMIT:
+        roots = 1 if delta % p == 0 else (2 if pow(delta, (p - 1) // 2, p) == 1 else 0)
+        return {2: SplitType.SPLIT, 0: SplitType.INERT, 1: SplitType.RAMIFIED}[roots]
     if delta % 4 == 1:
         c1, c0 = -1, (1 - delta) // 4  # generator (1 + sqrt(delta))/2
     else:
@@ -143,8 +154,9 @@ def fundamental_discs_oracle(x: int, sign: str) -> list[int]:
     return out
 
 
-def recover_oracle(delta_k: int, pairing: list[int], d_bound: int, prime_bound: int) -> set[int]:
-    """The subfield intersection redone with enumeration-based splitting."""
+def recover_oracle(delta_k: int, pairing: list[int], d_bound: int, prime_bound: int) -> tuple[set[int], int]:
+    """The subfield intersection redone with enumeration-based splitting:
+    (surviving primes, number of admissible fields)."""
 
     def nonsplit(disc, p) -> bool:
         return quadratic_split_oracle(disc, p) is not SplitType.SPLIT
@@ -163,7 +175,7 @@ def recover_oracle(delta_k: int, pairing: list[int], d_bound: int, prime_bound: 
         surviving &= {p for p in primes if nonsplit(disc, p)}
     if admissible == 0:
         raise RuntimeError("oracle: no admissible field")
-    return surviving
+    return surviving, admissible
 
 
 def catalan_oracle(terms: int = 200_000) -> float:

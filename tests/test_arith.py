@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from quatsurf import arith
+from quatsurf.quadfields import _squarefree_strip
 
 
 class TestPrimality:
@@ -31,9 +32,13 @@ class TestPrimality:
 
 class TestSquarefree:
     def test_table_matches_scalar(self):
-        table = arith.squarefree_table(500)
-        for n in range(1, 501):
-            assert bool(table[n]) == arith.is_squarefree(n), n
+        # the discriminant engine's segmented strips; squares longer than the
+        # strip go to the scatter that strikes each at most once
+        squares = arith.primes_up_to(40) ** 2
+        for lo, hi in ((1, 500), (777, 1600), (1500, 1600)):
+            n = hi - lo + 1
+            strip = _squarefree_strip(lo, hi, [int(q) for q in squares[squares <= n]], squares[squares > n])
+            assert [bool(t) for t in strip] == [arith.is_squarefree(m) for m in range(lo, hi + 1)], (lo, hi)
 
     def test_scalar_edges(self):
         assert not arith.is_squarefree(0)

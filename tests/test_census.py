@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quatsurf import arith, census
+from quatsurf import arith, census, quadfields
 from quatsurf.census import (
     SCAN_LIMIT,
     SEGMENT,
@@ -21,7 +21,7 @@ from quatsurf.quadfields import QuadraticField, SplitType, fundamental_discrimin
 from quatsurf.quatalg import embeds, fuchsian_admissible, is_isomorphic
 from quatsurf.relquad import RelQuadExt
 
-from oracles import prime_in_P_oracle, squarefree_count_sieve_oracle
+from oracles import fundamental_discs_oracle, prime_in_P_oracle, squarefree_count_sieve_oracle
 
 
 class TestInP:
@@ -261,20 +261,29 @@ class TestWoodStats:
         stats = wood_stats(3, [3], 10**4)
         assert stats == (0, 0.0, None)
 
-    def test_matches_scalar_enumeration(self):
-        def oracle(q_split, q_inert, x):
-            count = 0
-            for d in fundamental_discriminants(x, "imaginary"):
-                k = QuadraticField(d)
-                if q_split is not None and splitting(k, q_split) is not SplitType.SPLIT:
-                    continue
-                if any(splitting(k, q) is not SplitType.INERT for q in q_inert):
-                    continue
-                count += 1
-            return count
+    # the last two cases take rows by Euler's criterion and by the scalar symbol
+    CASES = ((7, (3,)), (2, (5,)), (None, (2, 3)), (13, ()), (None, (7, 11, 13)), (10**9 + 7, (3,)), (3000000037, ()))
 
-        for q_split, q_inert in ((7, [3]), (2, [5]), (None, [2, 3]), (13, []), (None, [7, 11, 13])):
-            assert wood_stats(q_split, q_inert, 10**4).count == oracle(q_split, q_inert, 10**4)
+    @staticmethod
+    def scalar_count(q_split, q_inert, x):
+        count = 0
+        for d in fundamental_discs_oracle(x, "imaginary"):
+            k = QuadraticField(d)
+            if q_split is not None and splitting(k, q_split) is not SplitType.SPLIT:
+                continue
+            if any(splitting(k, q) is not SplitType.INERT for q in q_inert):
+                continue
+            count += 1
+        return count
+
+    def test_matches_scalar_enumeration(self):
+        for q_split, q_inert in self.CASES:
+            assert wood_stats(q_split, q_inert, 10**4).count == self.scalar_count(q_split, q_inert, 10**4)
+
+    def test_block_edges(self, monkeypatch):
+        expected = [self.scalar_count(q_split, q_inert, 10**4) for q_split, q_inert in self.CASES]
+        monkeypatch.setattr(quadfields, "BLOCK", 1000)
+        assert [wood_stats(q_split, q_inert, 10**4).count for q_split, q_inert in self.CASES] == expected
 
     def test_independence_multiplicativity(self):
         # predicted(A u B) * base = predicted(A) * predicted(B) for disjoint sets
@@ -297,8 +306,9 @@ class TestRamificationProbability:
             assert check.target == pytest.approx(1 / (ell + 1))
             assert abs(check.ratio / check.target - 1) < tol, ell
 
-    def test_counts_both_signs(self):
-        check = ramification_probability_check(2, 10**4)
-        brute = sum(1 for d in fundamental_discriminants(10**4, "both") if d % 2 == 0)
-        total = sum(1 for _ in fundamental_discriminants(10**4, "both"))
-        assert (check.count, check.total) == (brute, total)
+    def test_counts_both_signs(self, monkeypatch):
+        discs = fundamental_discs_oracle(10**4, "both")
+        monkeypatch.setattr(quadfields, "BLOCK", 1000)
+        for ell in (2, 3, 7):
+            check = ramification_probability_check(ell, 10**4)
+            assert (check.count, check.total) == (sum(1 for d in discs if d % ell == 0), len(discs))

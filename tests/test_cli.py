@@ -50,6 +50,22 @@ class TestConstructFieldsCommand:
         assert code == 3
         assert "verification failure" in err
 
+    def test_search_cap_exhausted_exits_4(self, capsys, monkeypatch):
+        from quatsurf import cli
+        from quatsurf.errors import SearchCapExceeded
+
+        # the smallest cap still finds t = 0
+        code, _, _ = run_cli(["construct-fields", "--delta", "-4", "--n", "1", "--search-cap", "1"], capsys)
+        assert code == 0
+
+        def starved(*args, **kwargs):
+            raise SearchCapExceeded("synthetic")
+
+        monkeypatch.setattr(cli, "construct_fields", starved)
+        code, _, err = run_cli(["construct-fields", "--delta", "-4", "--n", "1"], capsys)
+        assert code == 4
+        assert "synthetic" in err
+
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(["construct-fields", "--delta", "-4", "--n", "1", "--json"], capsys)
         assert code == 0
@@ -157,6 +173,19 @@ class TestSurfacesDemoCommand:
         assert code == 0
         rows = [r for r in parse_csv(out) if r["table"] == "linnik"]
         assert len(rows) == 2
+
+
+    def test_disc_bound_guard_exits_2(self, capsys, monkeypatch):
+        from quatsurf import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the bound must be refused before any work")
+
+        monkeypatch.setattr(cli, "select_q_primes", unreachable)
+        for bound in ("12345.5", "1e16", "inf", "nan"):
+            code, _, err = run_cli(["surfaces-demo", "--n", "2", "--disc-bound", bound], capsys)
+            assert code == 2, bound
+            assert "--disc-bound" in err
 
 
 class TestRecoverCommand:

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from quatsurf import arith
@@ -24,6 +27,31 @@ class TestHenselSqrt:
             hensel_sqrt(14, 7)
         with pytest.raises(ValueError):
             hensel_sqrt(1, 2)
+
+
+# each snippet breaks one input of a verification check; the check must still
+# raise VerificationError when python -O strips assert statements
+BROKEN_CHECKS = {
+    "hensel_sqrt": "quatsurf.arith.mod_sqrt = lambda a, p: 1\nquatsurf.fieldforge.hensel_sqrt(4, 5)",
+    "select_q_primes": "quatsurf.primeforge._legendre_row_ok = lambda *a: True\nquatsurf.primeforge.select_q_primes(1)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_CHECKS))
+def test_verification_survives_optimize(name):
+    code = "\n".join(
+        [
+            "import sys, quatsurf.arith, quatsurf.fieldforge, quatsurf.primeforge",
+            "from quatsurf.errors import VerificationError",
+            "try:",
+            *("    " + line for line in BROKEN_CHECKS[name].splitlines()),
+            "except VerificationError:",
+            "    print('VerificationError', sys.flags.optimize)",
+        ]
+    )
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["VerificationError", "1"]
 
 
 class TestFindXi:

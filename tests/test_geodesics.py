@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from quatsurf import geodesics
 from quatsurf.fieldforge import construct_fields
 from quatsurf.geodesics import (
     TraceClass,
@@ -15,6 +16,7 @@ from quatsurf.geodesics import (
     length_from_trace,
     norm_one_unit_search,
     surface_obstruction,
+    _is_root_of_unity,
     _poly_mul_mod,
 )
 from quatsurf.quadfields import fundamental_discriminants
@@ -219,3 +221,17 @@ class TestNormOneUnitSearch:
         f = T**4 - 6 * T**2 + 13
         u = sum(c * T**i for i, c in enumerate(unit.coords))
         assert sympy.resultant(f, u) == 1
+
+
+class TestRootOfUnity:
+    def test_torsion_confirmed(self):
+        ext = RelQuadExt(-4, 1)
+        assert _is_root_of_unity((1, 0, 0, 0), ext)
+        assert _is_root_of_unity((-1, 0, 0, 0), ext)
+        assert not _is_root_of_unity((0, 1, 0, 0), ext)  # |theta| = 5^(1/4)
+
+    def test_exact_walk_rejects(self, monkeypatch):
+        # every embedding on the unit circle, yet 2 - theta has norm 13, so
+        # its powers never reach 1: the exact walk must reject it
+        monkeypatch.setattr(geodesics, "_embeddings", lambda ext: [1, 1, 1, 1])
+        assert not _is_root_of_unity((2, -1, 0, 0), RelQuadExt(-4, 1))

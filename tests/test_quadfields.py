@@ -1,15 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from quatsurf import arith
+from quatsurf import arith, quadfields
 from quatsurf.quadfields import (
     QuadraticField,
     SplitType,
     count_fundamental_discriminants,
+    discriminant_blocks,
     fundamental_discriminants,
+    fundamental_masks,
     is_fundamental_discriminant,
+    kronecker_row,
     primes_above,
     split_primes_prefix,
     splitting,
@@ -140,3 +144,41 @@ class TestDiscriminantEnumeration:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             list(fundamental_discriminants(10, "complex"))
+
+    def test_tiny_blocks_match_bruteforce(self, monkeypatch):
+        # x = 66 and 67 end exactly on and just past the edge of a 64-value block
+        monkeypatch.setattr(quadfields, "BLOCK", 64)
+        for x in (2, 3, 66, 67, 1000):
+            for sign in ("imaginary", "real", "both"):
+                want = fundamental_discs_oracle(x, sign)
+                assert list(fundamental_discriminants(x, sign)) == want, (x, sign)
+                assert count_fundamental_discriminants(x, sign) == len(want), (x, sign)
+        assert len(list(discriminant_blocks(1000))) == 16
+
+    def test_masks_match_bruteforce(self, monkeypatch):
+        monkeypatch.setattr(quadfields, "BLOCK", 64)
+        neg, pos = fundamental_masks(1000)
+        assert len(neg) == len(pos) == 1001
+        assert (-np.flatnonzero(neg)).tolist() == fundamental_discs_oracle(1000, "imaginary")
+        assert np.flatnonzero(pos).tolist() == fundamental_discs_oracle(1000, "real")
+
+
+class TestKroneckerRows:
+    SYMBOL = {SplitType.SPLIT: 1, SplitType.INERT: -1, SplitType.RAMIFIED: 0}
+
+    def test_rows_match_splitting(self):
+        discs = np.concatenate(list(discriminant_blocks(2000)))
+        for p in arith.primes_up_to(200).tolist():
+            want = [self.SYMBOL[splitting(QuadraticField(d), p)] for d in discs.tolist()]
+            assert kronecker_row(discs, p).tolist() == want, p
+            # a row shorter than p takes Euler's criterion instead of the table
+            assert kronecker_row(discs[:60], p).tolist() == want[:60], p
+
+    def test_rows_for_large_primes(self):
+        # Euler's criterion in int64 up to 2^31 - 1, the scalar symbol past 3e9;
+        # no table of size p is built, so this stays cheap
+        discs = np.concatenate(list(discriminant_blocks(2000)))
+        for p in (1009, 65537, 10**9 + 7, 2**31 - 1, 3000000037):
+            want = [0 if d % p == 0 else (1 if pow(d, (p - 1) // 2, p) == 1 else -1) for d in discs.tolist()]
+            row = kronecker_row(discs, p)
+            assert row.dtype == np.int8 and row.tolist() == want, p

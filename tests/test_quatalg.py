@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quatsurf import quadfields
 from quatsurf.errors import BoundsTooSmall, EmbeddingUndecidable
 from quatsurf.quadfields import PrimeOfK, QuadraticField, SplitType, primes_above, splitting
 from quatsurf.quatalg import (
@@ -150,10 +151,40 @@ class TestRecoverRamification:
         r = recover_ramification(pair_algebra(-4, [5, 13]), 2000, 200)
         assert r.primes == [5, 13]
 
+    # (delta, pairing, d_bound, p_bound): odd pairings take the auxiliary-prime
+    # branch; 2 is a candidate throughout, split in k for -7, inert for -3 and
+    # ramified for -4 and -8
+    ORACLE_CASES = (
+        (-3, [7], 300, 60),
+        (-3, [7, 13], 500, 60),
+        (-4, [5], 200, 100),
+        (-4, [13], 300, 100),
+        (-4, [5, 13], 500, 60),
+        (-4, [5, 13, 17], 600, 60),
+        (-7, [11], 300, 60),
+        (-7, [11, 23], 500, 60),
+        (-8, [3], 200, 60),
+        (-8, [3, 11], 500, 60),
+    )
+
     def test_matches_enumeration_oracle(self):
-        for pairing, (db, pb) in ((([5]), (200, 100)), ([13], (300, 100)), ([5, 13], (500, 60))):
-            got = set(recover_ramification(pair_algebra(-4, pairing), db, pb).primes)
-            assert got == recover_oracle(-4, pairing, db, pb)
+        for delta, pairing, db, pb in self.ORACLE_CASES:
+            got = recover_ramification(pair_algebra(delta, pairing), db, pb)
+            want = recover_oracle(delta, pairing, db, pb)
+            assert (set(got.primes), got.admissible_field_count) == want, (delta, pairing)
+
+    def test_block_edges_match_oracle(self, monkeypatch):
+        monkeypatch.setattr(quadfields, "BLOCK", 64)
+        for delta, pairing, db, pb in ((-4, [5, 13], 500, 60), (-7, [11], 300, 60)):
+            got = recover_ramification(pair_algebra(delta, pairing), db, pb)
+            assert (set(got.primes), got.admissible_field_count) == recover_oracle(delta, pairing, db, pb)
+
+    def test_large_pairing_primes(self):
+        # pairing primes far above both bounds: rows by Euler's criterion
+        # (1000000009) or by the scalar symbol past the int64 range (3000000037)
+        for pairing in ([1000000009], [5, 1000000009], [3000000037], [13, 3000000037]):
+            got = recover_ramification(pair_algebra(-4, pairing), 300, 60)
+            assert (set(got.primes), got.admissible_field_count) == recover_oracle(-4, pairing, 300, 60), pairing
 
     def test_other_base_fields_exact(self):
         for delta, pairing, db, pb in ((-3, [7], 200, 100), (-7, [11], 300, 100), (-8, [3], 200, 100)):
