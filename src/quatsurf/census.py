@@ -22,7 +22,7 @@ import numpy as np
 
 from . import arith
 from .errors import BoundaryPrimeError, VerificationError
-from .quadfields import QuadraticField, discriminant_blocks, kronecker_row, kronecker_table, primes_above
+from .quadfields import QuadraticField, character_table, discriminant_blocks, kronecker_row, kronecker_table, primes_above
 from .quatalg import QuatAlgK, embeds, fuchsian_admissible
 from .relquad import RelQuadExt
 
@@ -138,17 +138,24 @@ def _segment_primes(lo: int, hi: int) -> np.ndarray:
     return np.flatnonzero(strip) + lo
 
 
-def _scan_segment(delta: int, xs: tuple[int, ...], boundary: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+def _scan_segment(
+    delta: int, xs: tuple[int, ...], boundary: tuple[int, ...], chi: np.ndarray | None, lo: int, hi: int
+) -> np.ndarray:
     """Members of P in [lo, hi]; standalone so segments can run in worker processes.
 
-    The cheap conditions go first, by Euler's criterion: (delta|p) = 1 and
-    (x^2 - delta|p) = 1 for every x.  Square roots r of delta are taken on the survivors only.  As
+    The cheap conditions go first: (delta|p) = 1, by one lookup chi[p mod |delta|]
+    in the character table chi of delta when the scan passes one (it does for
+    |delta| <= SEGMENT), else by Euler's criterion, and (x^2 - delta|p) = 1 for
+    every x by Euler's criterion.  Square roots r of delta are taken on the survivors only.  As
     (x + r)(x - r) = x^2 - delta is then a nonzero square, (x - r|p) equals
     (x + r|p), so one symbol per generator decides.
     """
     ps = _segment_primes(lo, hi)
     ps = ps[~np.isin(ps, boundary)]
-    ps = ps[arith.powmod(_residues(delta, ps), (ps - 1) >> 1, ps) == 1]
+    if chi is not None:
+        ps = ps[chi[ps % len(chi)] == 1]
+    else:
+        ps = ps[arith.powmod(_residues(delta, ps), (ps - 1) >> 1, ps) == 1]
     for x in xs:
         ps = ps[arith.powmod(_residues(x * x - delta, ps), (ps - 1) >> 1, ps) == 1]
     if not xs:
@@ -207,7 +214,8 @@ class PrimePredicate:
         if bound >= SCAN_LIMIT:
             raise ValueError(f"scan bound {bound} is beyond the exact int64 range (< {SCAN_LIMIT})")
         if bound > self._scanned_to:
-            scan = functools.partial(_scan_segment, self.delta_k, self.xs, tuple(sorted(self.boundary)))
+            chi = character_table(self.delta_k) if abs(self.delta_k) <= SEGMENT else None
+            scan = functools.partial(_scan_segment, self.delta_k, self.xs, tuple(sorted(self.boundary)), chi)
             los = range(self._scanned_to + 1, bound + 1, SEGMENT)
             his = [min(bound, lo + SEGMENT - 1) for lo in los]
             workers = min(shards, os.cpu_count() or 1, len(los))

@@ -165,7 +165,7 @@ _CENSUS_COLUMNS = ["table", "checkpoint", "count", "ratio"]
 def _cmd_census(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be >= 0")
-    x_bound = int(args.x)
+    x_bound = args.x
     if x_bound < 100:
         raise ValueError("--x too small")
     exts = construct_fields(args.delta, args.n).extensions if args.n else []
@@ -181,7 +181,7 @@ def _cmd_census(args) -> int:
         def progress(upto):
             sys.stderr.write(f"scanned primes to {upto}\n")
 
-    checkpoints = sorted({int(float(c)) for c in args.checkpoints.split(",")}) if args.checkpoints else None
+    checkpoints = sorted(set(args.checkpoints)) if args.checkpoints else None
 
     rows = []
     if scan_bound >= 100:
@@ -317,6 +317,24 @@ def _cmd_recover(args) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    """An exact integer written as an integer or in decimal or scientific
+    notation ("100000", "1e14", "2.5e3"); anything that is not an integer
+    value, such as "1000.5", is a usage error (exit 2)."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if value.denominator != 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return value.numerator
+
+
+def _integers(text: str) -> list[int]:
+    """A comma-separated list of _integer values."""
+    return [_integer(item) for item in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quatsurf", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -337,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="prime density, squarefree census, and algebra count")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--n", type=int, default=1, help="family size (0 = bare split primes)")
-    p.add_argument("--x", type=float, required=True, help="discriminant-norm bound, e.g. 1e8")
-    p.add_argument("--checkpoints", help="comma-separated checkpoints (default: powers of 10)")
+    p.add_argument("--x", type=_integer, required=True, help="discriminant-norm bound, an integer such as 1e8")
+    p.add_argument("--checkpoints", type=_integers, help="comma-separated integer checkpoints (default: powers of 10)")
     p.add_argument("--shards", type=int, default=1, help="worker processes for the prime scan (clamped to the CPU count)")
     p.add_argument("--progress", action="store_true", help="progress lines on the diagnostic stream")
     common(p)

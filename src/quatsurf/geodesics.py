@@ -133,6 +133,29 @@ class RealQuadraticUnit:
         return math.exp(self.regulator)
 
 
+LEAF = 32
+"""Partial quotients per leaf of the product tree, multiplied left to right."""
+
+
+def _cycle_product(quotients: list[int]) -> tuple[int, int, int, int]:
+    """(A, B, C, E) with [[A, B], [C, E]] the product of [[a, 1], [1, 0]] over the
+    non-empty list quotients, left to right, in a balanced product tree: runs of
+    LEAF quotients are multiplied out, then neighbours are multiplied pairwise."""
+    level = []
+    for i in range(0, len(quotients), LEAF):
+        A, B, C, E = 1, 0, 0, 1
+        for a in quotients[i : i + LEAF]:
+            A, B, C, E = A * a + B, A, C * a + E, C
+        level.append((A, B, C, E))
+    while len(level) > 1:
+        paired = [
+            (A * A2 + B * C2, A * B2 + B * E2, C * A2 + E * C2, C * B2 + E * E2)
+            for (A, B, C, E), (A2, B2, C2, E2) in zip(level[::2], level[1::2])
+        ]
+        level = paired + level[len(paired) * 2 :]
+    return level[0]
+
+
 def fundamental_unit(d: int) -> RealQuadraticUnit:
     """Smallest unit > 1 of the real quadratic order of discriminant d.
 
@@ -143,7 +166,12 @@ def fundamental_unit(d: int) -> RealQuadraticUnit:
     Once a state repeats, one trip around the cycle gives the automorphism
     eps = C*alpha + E of the corresponding module, with [[A,B],[C,E]] the
     product of the partial-quotient matrices over the cycle; that automorphism
-    is the fundamental unit, of norm (-1)^(cycle length).
+    is the fundamental unit, of norm (-1)^(cycle length).  The product is taken
+    in a balanced tree (_cycle_product): its entries grow to about
+    log2(eps) bits (some 10^5 near d = 10^9), and the tree multiplies them in
+    a few large, balanced products instead of one small-by-large product per
+    quotient.  It is exact, so the unit is the (a, b, norm) of the
+    left-to-right product.
     """
     if d <= 0 or not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a positive fundamental discriminant")
@@ -160,10 +188,7 @@ def fundamental_unit(d: int) -> RealQuadraticUnit:
             raise VerificationError(f"Q = {Q} does not divide d - P^2 at P = {P}")
         Q = (d - P * P) // Q
     # (P, Q) now equals the state where the cycle starts
-    cycle = quotients[seen[(P, Q)] :]
-    A, B, C, E = 1, 0, 0, 1
-    for a in cycle:
-        A, B, C, E = A * a + B, A, C * a + E, C
+    _, _, C, E = _cycle_product(quotients[seen[(P, Q)] :])
     u, v = C * P + E * Q, C
     if (2 * u) % Q or (2 * v) % Q:
         raise VerificationError("continued-fraction automorphism is not integral")

@@ -206,6 +206,27 @@ def kronecker_table(p: int) -> np.ndarray:
     return table
 
 
+def character_table(delta: int) -> np.ndarray:
+    """chi_delta(n) = (delta|n) for 0 <= n < |delta|, as int8, for a fundamental
+    discriminant delta: the product of the prime-discriminant characters, one
+    period of kronecker_table(p) for each odd p | delta, times chi_-4, chi_8 or
+    chi_-8 on n mod 8 for the 2-part.  O(|delta| * omega(delta)) work."""
+    if not is_fundamental_discriminant(delta):
+        raise ValueError(f"{delta} is not a fundamental discriminant")
+    q = abs(delta)
+    twos = (q & -q).bit_length() - 1
+    if twos == 2:
+        two_part = [0, 1, 0, -1]  # chi_-4
+    elif twos == 3:  # chi_8 when delta/8 = 1 (mod 4), else chi_-8
+        two_part = [0, 1, 0, -1, 0, -1, 0, 1] if (delta >> 3) % 4 == 1 else [0, 1, 0, 1, 0, -1, 0, -1]
+    else:
+        two_part = [1]
+    chi = np.tile(np.array(two_part, dtype=np.int8), q // len(two_part))
+    for p in arith.factorize(q >> twos):
+        chi *= np.tile(kronecker_table(p), q // p)
+    return chi
+
+
 def kronecker_row(discs: np.ndarray, p: int) -> np.ndarray:
     """(D|p) for each D of the int64 array discs, as int8: a kronecker_table(p)
     lookup when the table is no longer than the row, else Euler's criterion

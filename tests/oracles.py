@@ -1,10 +1,12 @@
 """Brute-force oracles, independent of the package's own arithmetic paths.
 
 Splitting oracles factor minimal polynomials mod p by exhaustive root
-enumeration; the Pell oracle iterates b directly; the recovery oracle redoes
-the subfield intersection with enumeration-based splitting throughout.  The
-P-membership oracle finds square roots by enumeration; the squarefree sieve
-counts P-supported integers by striking a boolean strip.
+enumeration; the Pell oracle iterates b directly, and the convergent Pell
+oracle walks the continued fraction of sqrt(d) rather than the cycle of
+(s + sqrt(d))/2; the recovery oracle redoes the subfield intersection with
+enumeration-based splitting throughout.  The P-membership oracle finds square
+roots by enumeration; the squarefree sieve counts P-supported integers by
+striking a boolean strip; the L-value oracle sums mpmath's Hurwitz zeta.
 """
 
 import functools
@@ -131,6 +133,31 @@ def pell_unit_oracle(d: int, b_limit: int = 10**6):
     raise RuntimeError(f"no unit below b = {b_limit} for d = {d}")
 
 
+def pell_convergent_oracle(d: int):
+    """Smallest (a, b, norm) with a^2 - d*b^2 = +-4, b >= 1, from the convergents
+    h/k of sqrt(d).  For d > 16, Lagrange's criterion (|h^2 - d*k^2| < sqrt(d)
+    makes h/k a convergent) says a solution with gcd(a, b) = 1 is a convergent
+    with h^2 - d*k^2 = +-4, and one with gcd 2 is twice a convergent with +-1;
+    the walk stops once k passes the smallest b found."""
+    if d <= 16:
+        return pell_unit_oracle(d)
+    r = math.isqrt(d)
+    m, den, a = 0, 1, r
+    h_prev, h, k_prev, k = 1, r, 0, 1
+    best = None
+    while best is None or k <= best[1]:
+        n = h * h - d * k * k
+        if n in (4, -4) and (best is None or k < best[1]):
+            best = (h, k, n // 4)
+        if n in (1, -1) and (best is None or 2 * k < best[1]):
+            best = (2 * h, 2 * k, n)
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (r + m) // den
+        h_prev, h, k_prev, k = h, a * h + h_prev, k, a * k + k_prev
+    return best
+
+
 def fundamental_discs_oracle(x: int, sign: str) -> list[int]:
     """Fundamental discriminants by per-integer definition checking."""
 
@@ -181,3 +208,18 @@ def recover_oracle(delta_k: int, pairing: list[int], d_bound: int, prime_bound: 
 def catalan_oracle(terms: int = 200_000) -> float:
     """Catalan's constant by its alternating series; error below 1/(2*terms+1)^2."""
     return math.fsum((-1) ** k / (2 * k + 1) ** 2 for k in range(terms))
+
+
+@functools.lru_cache(maxsize=None)
+def dirichlet_L2_oracle(delta: int) -> float:
+    """L(2, chi_delta) = q^-2 * sum_a chi(a) * zeta(2, a/q), q = |delta|, with
+    mpmath's Hurwitz zeta at 30 digits and chi from arith.kronecker; cached
+    per delta, as each call costs about a millisecond per residue."""
+    import mpmath
+
+    q = abs(delta)
+    with mpmath.workdps(30):
+        total = mpmath.fsum(
+            chi * mpmath.zeta(2, mpmath.mpf(a) / q) for a in range(1, q) if (chi := arith.kronecker(delta, a))
+        )
+        return float(total / q**2)

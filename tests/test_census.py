@@ -24,6 +24,9 @@ from quatsurf.relquad import RelQuadExt
 from oracles import fundamental_discs_oracle, prime_in_P_oracle, squarefree_count_sieve_oracle
 
 
+LARGE_DELTAS = (-1048579, -1048580)  # -7*163*919 and -4*5*13*37*109, longer than SEGMENT
+
+
 class TestInP:
     def test_examples(self, predicate_n1):
         assert predicate_n1.in_P(41)
@@ -87,7 +90,7 @@ class TestMembersScan:
     def test_matches_enumeration_oracle(self):
         preds = [
             PrimePredicate(delta, construct_fields(delta, n).extensions if n else [])
-            for delta in (-3, -4, -7, -8, -11)
+            for delta in (-3, -4, -7, -8, -11) + LARGE_DELTAS
             for n in range(4)
         ]
         want = {pred: [] for pred in preds}
@@ -97,6 +100,15 @@ class TestMembersScan:
                     want[pred].append(p)
         for pred in preds:
             assert pred.members_up_to(2 * 10**4).tolist() == want[pred], (pred.delta_k, pred.xs)
+
+    def test_character_table_once_per_scan(self, family_n1, monkeypatch):
+        # one table per scan, however many segments; none past SEGMENT, where
+        # Euler's criterion decides (delta|p)
+        tables = []
+        monkeypatch.setattr(census, "character_table", lambda d: tables.append(d) or quadfields.character_table(d))
+        PrimePredicate(-4, family_n1.extensions).members_up_to(3 * SEGMENT + 5)
+        PrimePredicate(LARGE_DELTAS[0], construct_fields(LARGE_DELTAS[0], 1).extensions).members_up_to(SEGMENT + 5)
+        assert tables == [-4]
 
     def test_matches_scalar_test_to_1e6(self):
         pred = PrimePredicate(-4, construct_fields(-4, 2).extensions)

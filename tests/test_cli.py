@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from quatsurf.cli import main
+from quatsurf.cli import build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -138,6 +138,30 @@ class TestCensusCommand:
             code, _, err = run_cli(["census", "--delta", "-4", "--n", "1"] + extra, capsys)
             assert code == 2, extra
             assert err.startswith("error:"), extra
+
+
+    def test_x_parses_exactly(self):
+        parser = build_parser()
+        for text, want in (("1e14", 10**14), ("9007199254740993", 2**53 + 1), ("2.5e3", 2500)):
+            args = parser.parse_args(["census", "--delta", "-4", "--x", text, "--checkpoints", f"100,{text}"])
+            assert args.x == want and args.checkpoints == [100, want], text
+
+    def test_x_1e14_end_to_end(self, capsys):
+        code, out, err = run_cli(["census", "--delta", "-4", "--n", "1", "--x", "1e14"], capsys)
+        assert code == 0
+        assert json.loads(err)["scan_bound"] == 10**7
+        assert "prime_density,10000000,83047,0.133855948953" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "flags", [["--x", "1000.5"], ["--x", "1e6", "--checkpoints", "1000,1e4.5"], ["--x", "1e6", "--checkpoints", "1000,10000.5"]]
+    )
+    def test_non_integer_bounds_exit_2(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--delta", "-4", "--n", "1"] + flags)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument" in captured.err
 
 
 class TestSurfacesDemoCommand:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -22,7 +23,7 @@ from quatsurf.geodesics import (
 from quatsurf.quadfields import fundamental_discriminants
 from quatsurf.relquad import RelQuadExt
 
-from oracles import pell_unit_oracle
+from oracles import pell_convergent_oracle, pell_unit_oracle
 
 
 class TestClassifyTrace:
@@ -125,6 +126,44 @@ class TestFundamentalUnit:
             best = min(candidates, key=lambda t: (t[1], t[0]))
             assert (u.a, u.b, u.norm) == best, d
 
+    def test_matches_pell_oracles(self):
+        # every fundamental d < 4000, so every prime d = 1 (mod 4) there: the
+        # convergent oracle everywhere, the direct search where b is small
+        for d in fundamental_discriminants(4000, "real"):
+            u = fundamental_unit(d)
+            assert (u.a, u.b, u.norm) == pell_convergent_oracle(d), d
+            if u.b <= 1000:
+                assert (u.a, u.b, u.norm) == pell_unit_oracle(d, b_limit=1000), d
+
+    # (d, norm, b.bit_length(), sha256 of a and b) for the 16 primes d = 1 (mod 4)
+    # above 1,003,000,000, from the left-to-right product of the cycle matrices
+    GOLDEN = [
+        (1003000001, -1, 12672, "c67ae3dc444312d6"),
+        (1003000021, -1, 35594, "4849460b36412aa2"),
+        (1003000073, -1, 29524, "e9275f5a3d21aaf9"),
+        (1003000081, -1, 11661, "da24536390dfeb68"),
+        (1003000093, -1, 24060, "6400c4adee53d774"),
+        (1003000121, -1, 9536, "a13b71033dfa6130"),
+        (1003000129, -1, 74590, "421ddfea14319954"),
+        (1003000157, -1, 7731, "1a48ccf0e6e99f83"),
+        (1003000189, -1, 37683, "46b4d28ac5bed33a"),
+        (1003000277, -1, 3188, "67df882785dcdf14"),
+        (1003000333, -1, 7445, "aac1daca0ec7265a"),
+        (1003000337, -1, 22721, "9987d1274659c158"),
+        (1003000373, -1, 4350, "9c94f61e78849d56"),
+        (1003000429, -1, 32407, "151b06da1928688d"),
+        (1003000489, -1, 95205, "597801c240b82a4f"),
+        (1003000529, -1, 11949, "fd5c94b6a75f670f"),
+    ]
+
+    def test_golden_units_near_1e9(self):
+        for d, norm, bits, digest in self.GOLDEN:
+            u = fundamental_unit(d)
+            h = hashlib.sha256()
+            for n in (u.a, u.b):
+                h.update(n.to_bytes((n.bit_length() + 8) // 8, "big"))
+            assert (u.norm, u.b.bit_length(), h.hexdigest()[:16]) == (norm, bits, digest), d
+
     def test_regulator_large_unit(self):
         # d = 9949 has a famously large fundamental unit; exact invariant + finite log
         u = fundamental_unit(9949)
@@ -135,6 +174,23 @@ class TestFundamentalUnit:
         for d in (-4, 0, 9, 20):
             with pytest.raises(ValueError):
                 fundamental_unit(d)
+
+
+class TestCycleProduct:
+    @staticmethod
+    def left_to_right(quotients):
+        A, B, C, E = 1, 0, 0, 1
+        for a in quotients:
+            A, B, C, E = A * a + B, A, C * a + E, C
+        return A, B, C, E
+
+    def test_matches_left_to_right(self):
+        rng = random.Random(20261018)
+        leaf = geodesics.LEAF
+        edges = [1, 2, 3, leaf - 1, leaf, leaf + 1, 2 * leaf - 1, 2 * leaf, 2 * leaf + 1, 3 * leaf, 5 * leaf + 1, 299, 300]
+        for n in edges + [rng.randint(1, 300) for _ in range(60)]:
+            quotients = [rng.randint(1, 10 ** rng.randint(1, 8)) for _ in range(n)]
+            assert geodesics._cycle_product(quotients) == self.left_to_right(quotients), n
 
 
 class TestGeodesicLengthRealQuadratic:

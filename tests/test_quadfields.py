@@ -8,6 +8,7 @@ from quatsurf import arith, quadfields
 from quatsurf.quadfields import (
     QuadraticField,
     SplitType,
+    character_table,
     count_fundamental_discriminants,
     discriminant_blocks,
     fundamental_discriminants,
@@ -182,3 +183,16 @@ class TestKroneckerRows:
             want = [0 if d % p == 0 else (1 if pow(d, (p - 1) // 2, p) == 1 else -1) for d in discs.tolist()]
             row = kronecker_row(discs, p)
             assert row.dtype == np.int8 and row.tolist() == want, p
+
+
+class TestCharacterTable:
+    def test_matches_kronecker(self):
+        for d in fundamental_discriminants(2000):
+            table = character_table(d)
+            assert table.dtype == np.int8 and len(table) == abs(d), d
+            assert table.tolist() == [arith.kronecker(d, n) for n in range(abs(d))], d
+
+    def test_rejects_non_fundamental(self):
+        for d in (0, 1, -1, 9, -12, 20, -16):
+            with pytest.raises(ValueError):
+                character_table(d)

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from quatsurf.quadfields import QuadraticField, primes_above
+from quatsurf import volumes
+from quatsurf.quadfields import QuadraticField, fundamental_discriminants, primes_above
 from quatsurf.quatalg import QuatAlgK, QuatAlgQ
-from quatsurf.volumes import count_scaling, dirichlet_L2, fuchsian_coarea, kleinian_covolume
+from quatsurf.volumes import MIN_TOL, count_scaling, dirichlet_L2, fuchsian_coarea, kleinian_covolume
 
-from oracles import catalan_oracle
+from oracles import catalan_oracle, dirichlet_L2_oracle
 
 CATALAN = 0.9159655941772190  # well-known value of L(2, chi_{-4})
 
@@ -41,6 +47,44 @@ class TestDirichletL2:
     def test_positive_tolerance_required(self):
         with pytest.raises(ValueError):
             dirichlet_L2(-4, 0.0)
+
+    def test_tolerance_floor(self):
+        # below float64 resolution no tol can be met; refused before any work
+        with pytest.raises(ValueError, match="at least"):
+            dirichlet_L2(-4, MIN_TOL / 2)
+        assert abs(dirichlet_L2(-4, MIN_TOL) - CATALAN) < 1e-15
+
+    def test_trigamma_series_enveloping(self):
+        # the remainder bound dirichlet_L2 rests on: error at most the first omitted term
+        import mpmath
+
+        zs = np.array([1.0, 1.5, 2.0, 3.25, 5.0, 8.0, 13.0])
+        for J in range(len(volumes._BERNOULLI)):
+            got = volumes._trigamma_series(zs, J)
+            for z, value in zip(zs.tolist(), got.tolist()):
+                bound = abs(volumes._BERNOULLI[J]) / z ** (2 * J + 3)
+                assert abs(value - float(mpmath.psi(1, z))) <= bound + 4e-16 * value, (z, J)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_matches_hurwitz_oracle(self, tol):
+        for delta in fundamental_discriminants(200):
+            assert abs(dirichlet_L2(delta, tol) - dirichlet_L2_oracle(delta)) <= tol, delta
+
+    def test_memory_flat_in_tol(self):
+        # summing the Dirichlet series itself takes ~sqrt(1/tol) terms, about
+        # 3.9e8 here (2.9 GiB per float64 array); the period sum stays O(|delta|)
+        # under a 1 GiB address-space cap
+        code = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from quatsurf.volumes import dirichlet_L2\n"
+            "fine, coarse = dirichlet_L2(-1000003, tol=1e-14), dirichlet_L2(-1000003, tol=1e-10)\n"
+            "print(abs(fine - coarse))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout) <= 1e-10
 
 
 class TestKleinianCovolume:
