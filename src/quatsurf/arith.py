@@ -62,17 +62,20 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 def is_squarefree(n: int) -> bool:
+    """No square > 1 divides n: trial division up to the cube root of what is
+    left, whose cofactor then has at most two prime factors, so it is
+    squarefree unless it is the square of a prime."""
     n = abs(n)
     if n == 0:
         return False
     p = 2
-    while p * p <= n:
+    while p * p * p <= n:
         if n % (p * p) == 0:
             return False
         while n % p == 0:
             n //= p
         p += 1 if p == 2 else 2
-    return True
+    return n == 1 or not is_square(n)
 
 
 def is_square(n: int) -> bool:

@@ -5,16 +5,17 @@ consists of the rational primes p that split in the base field k and whose
 primes of k see every generator beta_i and conjugate reduce to a nonsquare.
 Bulk scans run one engine: a segmented sieve over [lo, hi], then, per
 segment, the membership test vectorised over the primes in int64 numpy
-(exact below SCAN_LIMIT).  Single queries (in_P) keep the scalar test with
-exact modular arithmetic for primes of any size.  Squarefree integers
-supported on P are counted by enumerating subset products of the members.
+(exact below SCAN_LIMIT); the fixed symbols (delta|p) and (x^2 - delta|p)
+are read from character tables.  Single queries (in_P) keep the scalar test
+with exact modular arithmetic for primes of any size.  Squarefree integers
+supported on P are built level by level in numpy: the products of k + 1
+distinct members from those of k.
 """
 
 import contextlib
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -138,26 +139,33 @@ def _segment_primes(lo: int, hi: int) -> np.ndarray:
     return np.flatnonzero(strip) + lo
 
 
+def _symbol_table(disc: int) -> np.ndarray | None:
+    """chi_disc over one period, read at p mod |disc| (disc = 1, from a square,
+    is the trivial character); None past SEGMENT, where Euler's criterion decides."""
+    if disc == 1:
+        return np.ones(1, dtype=np.int8)
+    return character_table(disc) if abs(disc) <= SEGMENT else None
+
+
 def _scan_segment(
-    delta: int, xs: tuple[int, ...], boundary: tuple[int, ...], chi: np.ndarray | None, lo: int, hi: int
+    delta: int, xs: tuple[int, ...], boundary: tuple[int, ...], tables: tuple[np.ndarray | None, ...], lo: int, hi: int
 ) -> np.ndarray:
     """Members of P in [lo, hi]; standalone so segments can run in worker processes.
 
-    The cheap conditions go first: (delta|p) = 1, by one lookup chi[p mod |delta|]
-    in the character table chi of delta when the scan passes one (it does for
-    |delta| <= SEGMENT), else by Euler's criterion, and (x^2 - delta|p) = 1 for
-    every x by Euler's criterion.  Square roots r of delta are taken on the survivors only.  As
-    (x + r)(x - r) = x^2 - delta is then a nonzero square, (x - r|p) equals
-    (x + r|p), so one symbol per generator decides.
+    The cheap conditions go first: the fixed symbols (delta|p) = 1 and
+    (x^2 - delta|p) = 1 for every x, each by one lookup in its table from
+    _symbol_table (tables runs parallel to delta, then xs) or, where that is
+    None, by Euler's criterion.  Square roots r of delta are taken on the
+    survivors only.  As (x + r)(x - r) = x^2 - delta is then a nonzero square,
+    (x - r|p) equals (x + r|p), so one symbol per generator decides.
     """
     ps = _segment_primes(lo, hi)
     ps = ps[~np.isin(ps, boundary)]
-    if chi is not None:
-        ps = ps[chi[ps % len(chi)] == 1]
-    else:
-        ps = ps[arith.powmod(_residues(delta, ps), (ps - 1) >> 1, ps) == 1]
-    for x in xs:
-        ps = ps[arith.powmod(_residues(x * x - delta, ps), (ps - 1) >> 1, ps) == 1]
+    for n, tab in zip((delta,) + tuple(x * x - delta for x in xs), tables):
+        if tab is not None:
+            ps = ps[tab[ps % len(tab)] == 1]
+        else:
+            ps = ps[arith.powmod(_residues(n, ps), (ps - 1) >> 1, ps) == 1]
     if not xs:
         return ps
     r = _sqrt_mod(_residues(delta, ps), ps)
@@ -186,11 +194,13 @@ class PrimePredicate:
         self.delta_k = delta_k
         self.exts = tuple(RelQuadExt(delta_k, e.x) for e in exts)
         self.xs = tuple(e.x for e in self.exts)
-        bad: set[int] = {2}
-        bad.update(arith.factorize(delta_k))
-        for e in self.exts:
-            bad.update(arith.factorize(e.norm_beta))
-        self.boundary = frozenset(bad)
+        values = (delta_k,) + tuple(e.norm_beta for e in self.exts)
+        factors = [arith.factorize(n) for n in values]
+        self.boundary = frozenset({2}.union(*factors))
+        # each fixed symbol (n|p) is chi_D(p) for D the discriminant of Q(sqrt(n)):
+        # the squarefree kernel a of n, or 4a when a != 1 (mod 4)
+        kernels = [math.prod(q for q, e in f.items() if e % 2) * (1 if n > 0 else -1) for n, f in zip(values, factors)]
+        self._discs = tuple(a if a % 4 == 1 else 4 * a for a in kernels)
         self._members = np.empty(0, dtype=np.int64)
         self._scanned_to = 1
 
@@ -214,14 +224,16 @@ class PrimePredicate:
         if bound >= SCAN_LIMIT:
             raise ValueError(f"scan bound {bound} is beyond the exact int64 range (< {SCAN_LIMIT})")
         if bound > self._scanned_to:
-            chi = character_table(self.delta_k) if abs(self.delta_k) <= SEGMENT else None
-            scan = functools.partial(_scan_segment, self.delta_k, self.xs, tuple(sorted(self.boundary)), chi)
+            tables = tuple(_symbol_table(d) for d in self._discs)
+            scan = functools.partial(_scan_segment, self.delta_k, self.xs, tuple(sorted(self.boundary)), tables)
             los = range(self._scanned_to + 1, bound + 1, SEGMENT)
             his = [min(bound, lo + SEGMENT - 1) for lo in los]
             workers = min(shards, os.cpu_count() or 1, len(los))
             chunks = [self._members]
             with contextlib.ExitStack() as stack:
                 if workers > 1:
+                    from concurrent.futures import ProcessPoolExecutor  # only sharded scans pay its import
+
                     results = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map(scan, los, his)
                 else:
                     results = map(scan, los, his)
@@ -286,36 +298,42 @@ def prime_density_report(
     return DensityReport(rows)
 
 
-def _iter_subset_products(members: list[int], bound: int):
-    stack = [(1, 0)]
-    while stack:
-        prod, idx = stack.pop()
-        for j in range(idx, len(members)):
-            nxt = prod * members[j]
-            if nxt > bound:
-                break
-            yield nxt
-            stack.append((nxt, j + 1))
+def _squarefree_levels(members: np.ndarray, bound: int):
+    """Products of k distinct members of the ascending int64 array members that
+    are <= bound, as one array per level k = 1, 2, ...
+
+    Each product v carries the index of its largest factor; its children are
+    v * m for the members m after that index with m <= bound // v, a run found
+    by searchsorted and expanded with repeat and cumsum.  Every product is at
+    most bound, so int64 stays exact for any scannable bound.
+    """
+    vals = members[: int(np.searchsorted(members, bound, side="right"))]
+    last = np.arange(len(vals))
+    while len(vals):
+        yield vals
+        counts = np.maximum(np.searchsorted(members, bound // vals, side="right") - last - 1, 0)
+        parent = np.repeat(np.arange(len(vals)), counts)
+        last = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+        vals = vals[parent] * members[last]
 
 
 def count_squarefree_over_P(pred: PrimePredicate, bound: int) -> int:
     """Squarefree d with 2 <= d <= bound, all prime factors in P.
 
     d = 1 is excluded: the empty product corresponds to a matrix algebra.
-    Counted by walking the products of strictly increasing members of P.
+    Counted as the sizes of the levels of products of distinct members of P.
     """
     if bound < 2:
         return 0
-    members = [int(m) for m in pred.members_up_to(bound)]
-    return sum(1 for _ in _iter_subset_products(members, bound))
+    return sum(len(level) for level in _squarefree_levels(pred.members_up_to(bound), bound))
 
 
 def squarefree_values(pred: PrimePredicate, bound: int) -> list[int]:
     """The squarefree P-supported values up to bound, ascending."""
     if bound < 2:
         return []
-    members = [int(m) for m in pred.members_up_to(bound)]
-    return sorted(_iter_subset_products(members, bound))
+    levels = _squarefree_levels(pred.members_up_to(bound), bound)
+    return np.sort(np.concatenate([np.empty(0, dtype=np.int64), *levels])).tolist()
 
 
 class FitRow(NamedTuple):

@@ -19,7 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import arith
@@ -125,8 +124,8 @@ class RealQuadraticUnit:
     def regulator(self) -> float:
         """log(eps), stable even when a and b have hundreds of digits."""
         # log((a + b*sqrt(d))/2) = log a - log 2 + log1p(b*sqrt(d)/a)
-        ratio_sq = Fraction(self.b * self.b * self.d, self.a * self.a)
-        return math.log(self.a) - math.log(2) + math.log1p(math.sqrt(float(ratio_sq)))
+        ratio_sq = (self.b * self.b * self.d) / (self.a * self.a)  # int / int rounds correctly
+        return math.log(self.a) - math.log(2) + math.log1p(math.sqrt(ratio_sq))
 
     @property
     def value(self) -> float:

@@ -6,7 +6,8 @@ oracle walks the continued fraction of sqrt(d) rather than the cycle of
 (s + sqrt(d))/2; the recovery oracle redoes the subfield intersection with
 enumeration-based splitting throughout.  The P-membership oracle finds square
 roots by enumeration; the squarefree sieve counts P-supported integers by
-striking a boolean strip; the L-value oracle sums mpmath's Hurwitz zeta.
+striking a boolean strip and the subset walk lists them by a depth-first
+walk over products of members; the L-value oracle sums mpmath's Hurwitz zeta.
 """
 
 import functools
@@ -112,6 +113,24 @@ def squarefree_count_sieve_oracle(pred, bound: int, segment: int = 1 << 20) -> i
         total += int(good.sum())
         lo = hi + 1
     return total
+
+
+def squarefree_subset_oracle(members, bound: int) -> list[int]:
+    """Products <= bound of nonempty sets of distinct members (ascending
+    ints), ascending, by a depth-first walk that extends each product by the
+    members after its largest factor."""
+    members = [int(m) for m in members]
+    out = []
+    stack = [(1, 0)]
+    while stack:
+        prod, idx = stack.pop()
+        for j in range(idx, len(members)):
+            nxt = prod * members[j]
+            if nxt > bound:
+                break
+            out.append(nxt)
+            stack.append((nxt, j + 1))
+    return sorted(out)
 
 
 def quartic_root_count(ext, p: int) -> int:

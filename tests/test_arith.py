@@ -40,6 +40,22 @@ class TestSquarefree:
             strip = _squarefree_strip(lo, hi, [int(q) for q in squares[squares <= n]], squares[squares > n])
             assert [bool(t) for t in strip] == [arith.is_squarefree(m) for m in range(lo, hi + 1)], (lo, hi)
 
+    def test_against_factorint(self):
+        def want(n):
+            return all(e == 1 for e in sympy.factorint(n).values())
+
+        for n in range(1, 2 * 10**4 + 1):
+            assert arith.is_squarefree(n) == want(n), n
+        # cofactors past the cube root: prime squares, alone and times a small
+        # prime, and products of three primes near 10^6
+        for p in (sympy.prevprime(10**7), sympy.nextprime(10**7), sympy.nextprime(3 * 10**7)):
+            for n in (p * p, 3 * p * p, 2 * p * p, p * sympy.nextprime(p), 2 * p):
+                assert arith.is_squarefree(n) == want(n), n
+        assert not arith.is_squarefree(sympy.prevprime(10**9) ** 2)  # d near 10^18
+        near = [sympy.nextprime(10**6 + k) for k in (0, 100, 1000)]
+        for a, b, c in ((near[0], near[1], near[2]), (near[0], near[0], near[1]), (near[1], near[2], near[2])):
+            assert arith.is_squarefree(a * b * c) == want(a * b * c), (a, b, c)
+
     def test_scalar_edges(self):
         assert not arith.is_squarefree(0)
         assert arith.is_squarefree(1)

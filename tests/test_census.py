@@ -13,6 +13,7 @@ from quatsurf.census import (
     mean_value_fit,
     prime_density_report,
     ramification_probability_check,
+    squarefree_values,
     wood_stats,
 )
 from quatsurf.errors import BoundaryPrimeError
@@ -21,7 +22,7 @@ from quatsurf.quadfields import QuadraticField, SplitType, fundamental_discrimin
 from quatsurf.quatalg import embeds, fuchsian_admissible, is_isomorphic
 from quatsurf.relquad import RelQuadExt
 
-from oracles import fundamental_discs_oracle, prime_in_P_oracle, squarefree_count_sieve_oracle
+from oracles import fundamental_discs_oracle, prime_in_P_oracle, squarefree_count_sieve_oracle, squarefree_subset_oracle
 
 
 LARGE_DELTAS = (-1048579, -1048580)  # -7*163*919 and -4*5*13*37*109, longer than SEGMENT
@@ -102,13 +103,33 @@ class TestMembersScan:
             assert pred.members_up_to(2 * 10**4).tolist() == want[pred], (pred.delta_k, pred.xs)
 
     def test_character_table_once_per_scan(self, family_n1, monkeypatch):
-        # one table per scan, however many segments; none past SEGMENT, where
-        # Euler's criterion decides (delta|p)
+        # one table per fixed symbol and scan, however many segments: (delta|p),
+        # then (x^2 - delta|p) by the discriminant of Q(sqrt(x^2 - delta));
+        # none past SEGMENT, where Euler's criterion decides
         tables = []
         monkeypatch.setattr(census, "character_table", lambda d: tables.append(d) or quadfields.character_table(d))
         PrimePredicate(-4, family_n1.extensions).members_up_to(3 * SEGMENT + 5)
         PrimePredicate(LARGE_DELTAS[0], construct_fields(LARGE_DELTAS[0], 1).extensions).members_up_to(SEGMENT + 5)
-        assert tables == [-4]
+        assert tables == [-4, 5, 262145]
+
+    def test_fixed_symbol_discriminants(self):
+        # the n = 1 census families: x^2 - delta = 7, 5, 12 give D = 28, 5, 12
+        for delta, disc in ((-3, 28), (-4, 5), (-8, 12)):
+            assert PrimePredicate(delta, construct_fields(delta, 1).extensions)._discs == (delta, disc)
+        # 4^2 + 4 = 2^2 * 5 has kernel 5 = 1 (mod 4); 6^2 + 4 = 2^3 * 5 has kernel 10
+        assert PrimePredicate(-4, [RelQuadExt(-4, 4), RelQuadExt(-4, 6)])._discs == (-4, 5, 40)
+        assert PrimePredicate(-3, [RelQuadExt(-3, 1)])._discs == (-3, 1)
+
+    def test_euler_fallback_and_square_norm(self):
+        # x = 2001: x^2 + 4 = 4004005 is its own discriminant, longer than
+        # SEGMENT, so Euler's criterion decides; 1 - (-3) = 4 is a square
+        assert PrimePredicate(-4, [RelQuadExt(-4, 2001)])._discs == (-4, 4004005)
+        assert census._symbol_table(4004005) is None
+        assert census._symbol_table(1).tolist() == [1]
+        for delta, xs in ((-4, (1, 2001)), (-4, (2001,)), (-3, (1,)), (-3, (1, 2))):
+            pred = PrimePredicate(delta, [RelQuadExt(delta, x) for x in xs])
+            want = [p for p in arith.primes_up_to(3 * 10**4).tolist() if p not in pred.boundary and prime_in_P_oracle(delta, xs, p)]
+            assert pred.members_up_to(3 * 10**4).tolist() == want, (delta, xs)
 
     def test_matches_scalar_test_to_1e6(self):
         pred = PrimePredicate(-4, construct_fields(-4, 2).extensions)
@@ -138,7 +159,7 @@ class TestMembersScan:
             pools.append(_InlinePool(max_workers))
             return pools[-1]
 
-        monkeypatch.setattr(census, "ProcessPoolExecutor", fake_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", fake_pool)
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         reports = []
         bound = 3 * SEGMENT + 5
@@ -206,6 +227,22 @@ class TestSquarefreeCount:
         pred = PrimePredicate(-4, fam.extensions)
         for bound in (10**3, 10**4):
             assert squarefree_count_sieve_oracle(pred, bound) == count_squarefree_over_P(pred, bound)
+
+    @pytest.mark.parametrize("delta", [-3, -4, -7, -8])
+    def test_levels_match_oracles(self, delta):
+        for n in range(4):
+            pred = PrimePredicate(delta, construct_fields(delta, n).extensions if n else [])
+            top = 2 * 10**4 if n == 0 else 10**6
+            m = pred.members_up_to(top).tolist()
+            # bounds below 2, below the smallest member, equal to products of members, off any grid
+            bounds = [-5, 0, 1, 2, m[0] - 1, m[0], m[0] * m[1] - 1, m[0] * m[1], m[1] * m[2], m[0] * m[1] * m[2], 9_999, top]
+            for bound in (b for b in bounds if b <= top):
+                want = squarefree_subset_oracle(m, bound)
+                assert squarefree_values(pred, bound) == want, (delta, n, bound)
+                assert count_squarefree_over_P(pred, bound) == len(want), (delta, n, bound)
+                if bound >= 2:
+                    assert squarefree_count_sieve_oracle(pred, bound) == len(want), (delta, n, bound)
+            assert all(type(v) is int for v in squarefree_values(pred, top))
 
 
 class TestMeanValueFit:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,10 +148,16 @@ class TestCensusCommand:
             assert args.x == want and args.checkpoints == [100, want], text
 
     def test_x_1e14_end_to_end(self, capsys):
-        code, out, err = run_cli(["census", "--delta", "-4", "--n", "1", "--x", "1e14"], capsys)
-        assert code == 0
-        assert json.loads(err)["scan_bound"] == 10**7
-        assert "prime_density,10000000,83047,0.133855948953" in out.splitlines()
+        # the whole data stream, byte for byte, against the benchmark's stored outputs
+        golden = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["outputs"]
+        outs = {}
+        for delta in ("-3", "-4", "-8"):
+            argv = ["census", "--delta", delta, "--n", "1", "--x", "1e14"]
+            code, outs[delta], err = run_cli(argv, capsys)
+            assert code == 0
+            assert json.loads(err)["scan_bound"] == 10**7
+            assert outs[delta] == golden["cli " + " ".join(argv)], delta
+        assert "prime_density,10000000,83047,0.133855948953" in outs["-4"].splitlines()
 
     @pytest.mark.parametrize(
         "flags", [["--x", "1000.5"], ["--x", "1e6", "--checkpoints", "1000,1e4.5"], ["--x", "1e6", "--checkpoints", "1000,10000.5"]]
@@ -244,6 +251,12 @@ class TestRecoverCommand:
 
 
 class TestDeterminism:
+    def test_cli_import_leaves_process_pool_unloaded(self):
+        # only sharded scans import the process pool, and they do it on demand
+        code = "import sys, quatsurf.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "[]"
+
     def test_byte_identical_runs(self):
         cmd = [sys.executable, "-m", "quatsurf.cli", "surfaces-demo", "--n", "2", "--disc-bound", "1e4"]
         a = subprocess.run(cmd, capture_output=True, check=True)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -163,6 +164,13 @@ class TestFundamentalUnit:
             for n in (u.a, u.b):
                 h.update(n.to_bytes((n.bit_length() + 8) // 8, "big"))
             assert (u.norm, u.b.bit_length(), h.hexdigest()[:16]) == (norm, bits, digest), d
+
+    def test_regulator_matches_exact_ratio(self):
+        # the float division b^2 d / a^2 rounds like the exact rational would
+        for d in [g[0] for g in self.GOLDEN] + [10**12 + 61]:
+            u = fundamental_unit(d)
+            ratio = float(Fraction(u.b * u.b * d, u.a * u.a))
+            assert u.regulator == math.log(u.a) - math.log(2) + math.log1p(math.sqrt(ratio)), d
 
     def test_regulator_large_unit(self):
         # d = 9949 has a famously large fundamental unit; exact invariant + finite log
