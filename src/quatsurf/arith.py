@@ -4,6 +4,7 @@ Everything here is exact integer arithmetic; numpy only appears in the bulk
 sieves and in powmod.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -93,8 +94,14 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
+TRIAL_LIMIT = 1 << 12
+"""factorize trial-divides by the primes below this, so it alone factors every n < TRIAL_LIMIT**2."""
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine for the moderate sizes used here."""
+    """Prime factorization: trial division up to TRIAL_LIMIT, then a Miller-Rabin
+    test of what is left and Pollard-Brent rho to split a composite cofactor
+    (Brent 1980; Cohen, GTM 138, section 8.5)."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -104,15 +111,57 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 5
-    while f * f <= n:
+    while f * f <= n and f < TRIAL_LIMIT:
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         f += 6
+    # every prime factor of the cofactor is >= f, so below f^2 it is 1 or a prime
+    if n >= f * f:
+        for p in _split(n):
+            out[p] = out.get(p, 0) + 1
+        return dict(sorted(out.items()))
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _split(n: int) -> list[int]:
+    """The prime factors of n > 1 with repetition, by Pollard-Brent rho."""
+    if is_prime(n):
+        return [n]
+    d = _pollard_brent(n)
+    return _split(d) + _split(n // d)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of an odd composite n: Brent's cycle search on
+    y -> y^2 + c mod n, with the gcds batched over runs of 128 steps; a batch
+    that overshoots to gcd n is replayed step by step, and a c that still
+    finds only n is replaced by c + 1."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def kronecker(a: int, n: int) -> int:

@@ -21,9 +21,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import arith
+from . import arith, quadfields
 from .errors import BoundaryPrimeError, VerificationError
-from .quadfields import QuadraticField, character_table, discriminant_blocks, kronecker_row, kronecker_table, primes_above
+from .quadfields import QuadraticField, character_table, kronecker_row, kronecker_table, primes_above
 from .quatalg import QuatAlgK, embeds, fuchsian_admissible
 from .relquad import RelQuadExt
 
@@ -435,6 +435,13 @@ def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats
     probability of either prescribed behavior, after ramification eats
     1/(ell+1).  Contradictory constraints (one prime on both sides) give
     count 0 and predicted 0.
+
+    Reads only the neg strip (row 0) of _fundamental_blocks.  (-a|q) depends on
+    a mod m, m = q (8 for q = 2), so a condition with m <= BLOCK is a periodic
+    bool pattern, built for each block, tiled over it and ANDed into the strip;
+    memory is bounded by BLOCK and sqrt(x) however many primes are listed.  A q
+    with m > BLOCK falls back to kronecker_row on the survivors of the short
+    conditions, the only discriminant values built.
     """
     if x < 10**4:
         raise ValueError("x too small for meaningful statistics")
@@ -448,16 +455,39 @@ def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats
     if q_split is not None and q_split in q_inert:
         return WoodStats(0, 0.0, None)
 
+    block = quadfields.BLOCK
+    short = [c for c in conditions if _period(c[0]) <= block]
+    long = [c for c in conditions if _period(c[0]) > block]
     count = 0
-    for discs in discriminant_blocks(x, "imaginary"):
-        for q, symbol in conditions:
-            discs = discs[kronecker_row(discs, q) == symbol]
-        count += len(discs)
+    for lo, masks in quadfields._fundamental_blocks(x):
+        neg = masks[0]
+        for q, symbol in short:
+            allowed = _allowed_residues(q, symbol)
+            m = len(allowed)
+            off = lo % m
+            neg &= np.tile(allowed, (off + len(neg)) // m + 1)[off : off + len(neg)]
+        if long:
+            discs = -(lo + np.flatnonzero(neg))
+            for q, symbol in long:
+                discs = discs[kronecker_row(discs, q) == symbol]
+            count += len(discs)
+        else:
+            count += int(np.count_nonzero(neg))
 
     predicted = (6 / math.pi**2) * x * 0.5
     for q, _ in conditions:
         predicted *= q / (2 * q + 2)
     return WoodStats(count, predicted, count / predicted if predicted > 0 else None)
+
+
+def _period(q: int) -> int:
+    return 8 if q == 2 else q
+
+
+def _allowed_residues(q: int, symbol: int) -> np.ndarray:
+    """allowed[a] iff (-a|q) == symbol, over one period 0 <= a < _period(q)."""
+    table = kronecker_table(q)
+    return np.roll(table[::-1], 1) == symbol  # table[(-a) % m] for a = 0, 1, ..., m - 1
 
 
 class RamificationCheck(NamedTuple):
@@ -472,13 +502,16 @@ def ramification_probability_check(ell: int, x: int) -> RamificationCheck:
 
     Divisibility by ell is exactly ramification of ell; across the family of
     quadratic fields (both signatures) the fraction converges to 1/(ell+1).
+    Reads both strips of _fundamental_blocks: ell | delta = +-a is the column
+    slice masks[:, (-lo) % ell :: ell] of a block starting at a = lo, for any
+    ell, so no discriminant values and no kronecker_row are needed.
     """
     if not arith.is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     if x < 10**4:
         raise ValueError("x too small for meaningful statistics")
     count = total = 0
-    for discs in discriminant_blocks(x):
-        total += len(discs)
-        count += int(np.count_nonzero(discs % ell == 0))
+    for lo, masks in quadfields._fundamental_blocks(x):
+        total += int(np.count_nonzero(masks))
+        count += int(np.count_nonzero(masks[:, (-lo) % ell :: ell]))
     return RamificationCheck(count, total, count / total, 1 / (ell + 1))

@@ -160,7 +160,9 @@ def _squarefree_strip(lo: int, hi: int, small: list[int], large: np.ndarray) -> 
 
 def _fundamental_blocks(x: int) -> Iterator[tuple[int, np.ndarray]]:
     """(lo, masks) per block of BLOCK values a = lo, lo + 1, ... of 3 <= a <= x:
-    masks[0, i] (masks[1, i]) true iff -(lo + i) (+(lo + i)) is fundamental."""
+    masks[0, i] (masks[1, i]) true iff -(lo + i) (+(lo + i)) is fundamental.
+    Both strips are filled; callers read the rows they need.  Memory is one
+    block of both strips plus the prime squares up to x."""
     squares = arith.primes_up_to(math.isqrt(max(x, 0))) ** 2
     small, large = [int(q) for q in squares[squares <= BLOCK]], squares[squares > BLOCK]
     for lo in range(3, x + 1, BLOCK):
@@ -255,5 +257,10 @@ def fundamental_discriminants(x: int, sign: str = "both") -> Iterator[int]:
 
 
 def count_fundamental_discriminants(x: int, sign: str = "both") -> int:
-    """Count of fundamental discriminants with |delta| <= x (density 6/pi^2 for both signs)."""
-    return sum(len(discs) for discs in discriminant_blocks(x, sign))
+    """Count of fundamental discriminants with |delta| <= x (density 6/pi^2 for both signs):
+    count_nonzero over the rows of _fundamental_blocks that sign selects (row 0
+    imaginary, row 1 real), with no discriminant values built."""
+    rows = {"imaginary": slice(0, 1), "real": slice(1, 2), "both": slice(0, 2)}.get(sign)
+    if rows is None:
+        raise ValueError(f"bad sign {sign!r}")
+    return sum(int(np.count_nonzero(masks[rows])) for _, masks in _fundamental_blocks(x))

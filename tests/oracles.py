@@ -8,6 +8,8 @@ enumeration-based splitting throughout.  The P-membership oracle finds square
 roots by enumeration; the squarefree sieve counts P-supported integers by
 striking a boolean strip and the subset walk lists them by a depth-first
 walk over products of members; the L-value oracle sums mpmath's Hurwitz zeta.
+The wood count oracle builds every imaginary discriminant as an int64 value
+and applies one kronecker_row filter per condition.
 """
 
 import functools
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from quatsurf import arith
-from quatsurf.quadfields import SplitType
+from quatsurf.quadfields import SplitType, discriminant_blocks, kronecker_row
 
 
 ENUMERATION_LIMIT = 10**6
@@ -198,6 +200,18 @@ def fundamental_discs_oracle(x: int, sign: str) -> list[int]:
         if sign in ("real", "both") and fundamental(a):
             out.append(a)
     return out
+
+
+def wood_count_oracle(q_split, q_inert, x: int) -> int:
+    """Imaginary fundamental discriminants |D| <= x with q_split split and every
+    q in q_inert inert, counted by filtering the int64 values block by block."""
+    conditions = [(q, -1) for q in q_inert] + ([(q_split, 1)] if q_split is not None else [])
+    count = 0
+    for discs in discriminant_blocks(x, "imaginary"):
+        for q, symbol in conditions:
+            discs = discs[kronecker_row(discs, q) == symbol]
+        count += len(discs)
+    return count
 
 
 def recover_oracle(delta_k: int, pairing: list[int], d_bound: int, prime_bound: int) -> tuple[set[int], int]:

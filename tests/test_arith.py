@@ -126,6 +126,19 @@ class TestFactorizationHelpers:
             assert math.prod(p**e for p, e in f.items()) == n
             assert all(arith.is_prime(p) for p in f)
 
+    def test_factorize_past_trial_division(self):
+        # cofactors above TRIAL_LIMIT^2: semiprimes with both factors near 10^8,
+        # squares and cubes of primes, and x^2 + 4 at x = 10^8 + 3 (a prime)
+        near = [sympy.nextprime(10**8 + k) for k in (0, 1000, 10**6)]
+        cases = [p * q for i, p in enumerate(near) for q in near[i:]]
+        cases += [p**3 for p in near] + [sympy.nextprime(arith.TRIAL_LIMIT) ** 2, (10**8 + 3) ** 2 + 4]
+        cases += [2**5 * 4099**2 * near[0], (2**31 - 1) * (2**61 - 1), 2**61 - 1]
+        rng = random.Random(17)
+        cases += [rng.randint(2, 10**18) for _ in range(100)]
+        for n in cases:
+            f = arith.factorize(n)
+            assert f == sympy.factorint(n) and list(f) == sorted(f), n
+
     def test_valuation(self):
         assert arith.valuation(2000, 2) == 4
         assert arith.valuation(2000, 5) == 3

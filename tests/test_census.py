@@ -22,7 +22,13 @@ from quatsurf.quadfields import QuadraticField, SplitType, fundamental_discrimin
 from quatsurf.quatalg import embeds, fuchsian_admissible, is_isomorphic
 from quatsurf.relquad import RelQuadExt
 
-from oracles import fundamental_discs_oracle, prime_in_P_oracle, squarefree_count_sieve_oracle, squarefree_subset_oracle
+from oracles import (
+    fundamental_discs_oracle,
+    prime_in_P_oracle,
+    squarefree_count_sieve_oracle,
+    squarefree_subset_oracle,
+    wood_count_oracle,
+)
 
 
 LARGE_DELTAS = (-1048579, -1048580)  # -7*163*919 and -4*5*13*37*109, longer than SEGMENT
@@ -119,6 +125,8 @@ class TestMembersScan:
         # 4^2 + 4 = 2^2 * 5 has kernel 5 = 1 (mod 4); 6^2 + 4 = 2^3 * 5 has kernel 10
         assert PrimePredicate(-4, [RelQuadExt(-4, 4), RelQuadExt(-4, 6)])._discs == (-4, 5, 40)
         assert PrimePredicate(-3, [RelQuadExt(-3, 1)])._discs == (-3, 1)
+        # x^2 + 4 at x = 10^8 + 3 is a prime near 10^16, far past trial division
+        assert PrimePredicate(-4, [RelQuadExt(-4, 10**8 + 3)])._discs == (-4, (10**8 + 3) ** 2 + 4)
 
     def test_euler_fallback_and_square_norm(self):
         # x = 2001: x^2 + 4 = 4004005 is its own discriminant, longer than
@@ -346,6 +354,22 @@ class TestWoodStats:
     def test_duplicate_inert_rejected(self):
         with pytest.raises(ValueError):
             wood_stats(None, [3, 3], 10**4)
+
+
+# q = 2, q = 3, the primes just below and just above BLOCK, and one far past it; x spans
+# several blocks, so the offset lo % q of each pattern moves and wraps from block to block
+WOOD_BLOCKS = {64: (61, 67, 10**4 + 17), 1000: (997, 1009, 10**4 + 17), quadfields.BLOCK: (1048573, 1048583, 3 * 10**6 + 1)}
+
+
+class TestWoodStatsMasks:
+    @pytest.mark.parametrize("block", sorted(WOOD_BLOCKS))
+    @pytest.mark.parametrize("which", ["2", "3", "below", "above", "1e9+7"])
+    def test_matches_int64_filter(self, monkeypatch, block, which):
+        below, above, x = WOOD_BLOCKS[block]
+        q = {"2": 2, "3": 3, "below": below, "above": above, "1e9+7": 10**9 + 7}[which]
+        monkeypatch.setattr(quadfields, "BLOCK", block)
+        for q_split, q_inert in ((q, []), (None, [q]), (5, [q, 7]), (q, [5, 11])):
+            assert wood_stats(q_split, q_inert, x).count == wood_count_oracle(q_split, q_inert, x), (q_split, q_inert)
 
 
 class TestRamificationProbability:

@@ -205,6 +205,15 @@ class TestSurfacesDemoCommand:
         rows = [r for r in parse_csv(out) if r["table"] == "linnik"]
         assert len(rows) == 2
 
+    def test_reference_outputs_end_to_end(self, capsys):
+        # every surfaces-demo run the benchmark stores, byte for byte
+        golden = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["outputs"]
+        keys = sorted(key for key in golden if key.startswith("cli surfaces-demo --n 4 --disc-bound "))
+        assert len(keys) == 10
+        for key in keys:
+            code, out, _ = run_cli(key.split()[1:], capsys)
+            assert code == 0
+            assert out == golden[key], key
 
     def test_disc_bound_guard_exits_2(self, capsys, monkeypatch):
         from quatsurf import cli
