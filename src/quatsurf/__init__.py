@@ -36,7 +36,6 @@ from .geodesics import (
     geodesic_length_real_quadratic,
     height_and_length_bounds,
     length_from_trace,
-    norm_one_unit_search,
     surface_obstruction,
 )
 from .primeforge import QSelection, nth_prime_in_ap, select_q_primes, verify_splitting_matrix
@@ -120,7 +119,6 @@ __all__ = [
     "length_from_trace",
     "mean_value_fit",
     "minimal_polynomial",
-    "norm_one_unit_search",
     "nth_prime_in_ap",
     "poly_discriminant",
     "prime_density_report",

@@ -168,6 +168,9 @@ def _cmd_census(args) -> int:
     x_bound = args.x
     if x_bound < 100:
         raise ValueError("--x too small")
+    if args.checkpoints and min(args.checkpoints) < 2:
+        # the ratio columns divide by log(checkpoint)
+        raise ValueError(f"--checkpoints must be at least 2, got {min(args.checkpoints)}")
     exts = construct_fields(args.delta, args.n).extensions if args.n else []
     pred = PrimePredicate(args.delta, exts)
     # diagnostic tables run at the natural inner scale sqrt(x); the algebra
@@ -228,9 +231,9 @@ _DEMO_COLUMNS = ["table", "key", "i", "j", "value"]
 def _cmd_surfaces_demo(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    # --disc-bound parses as a float, which holds every integer only up to 2^53
-    if not (args.disc_bound.is_integer() and args.disc_bound <= 2**53):
-        raise ValueError(f"--disc-bound must be an integer no larger than 2^53, got {args.disc_bound!r}")
+    # wood_stats memory grows with sqrt(--disc-bound)
+    if args.disc_bound > 2**53:
+        raise ValueError(f"--disc-bound must be at most 2^53, got {args.disc_bound}")
     n = args.n
     selection = select_q_primes(n)
     ps, qs = selection.p_primes, selection.q_primes
@@ -274,7 +277,7 @@ def _cmd_surfaces_demo(args) -> int:
             }
         )
 
-    stats = wood_stats(q_final, qs[:n], int(args.disc_bound))
+    stats = wood_stats(q_final, qs[:n], args.disc_bound)
     rows.append({"table": "wood", "key": "count", "value": stats.count})
     rows.append({"table": "wood", "key": "predicted", "value": stats.predicted})
     rows.append({"table": "wood", "key": "ratio", "value": stats.ratio})
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surfaces-demo", help="n geodesics on pairwise distinct surfaces, with bounds")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--disc-bound", type=float, default=1e5, help="discriminant bound for the splitting statistics (an integer up to 2^53)")
+    p.add_argument("--disc-bound", type=_integer, default=10**5, help="discriminant bound for the splitting statistics, an integer up to 2^53")
     p.add_argument("--linnik-report", action="store_true", help="tabulate p_i against i*log(2i)")
     common(p)
     p.set_defaults(func=_cmd_surfaces_demo)

@@ -19,9 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
-
-from . import arith
 from .errors import VerificationError
 from .quadfields import is_fundamental_discriminant
 from .relquad import RelQuadExt, is_galois_over_Q
@@ -127,10 +124,6 @@ class RealQuadraticUnit:
         ratio_sq = (self.b * self.b * self.d) / (self.a * self.a)  # int / int rounds correctly
         return math.log(self.a) - math.log(2) + math.log1p(math.sqrt(ratio_sq))
 
-    @property
-    def value(self) -> float:
-        return math.exp(self.regulator)
-
 
 LEAF = 32
 """Partial quotients per leaf of the product tree, multiplied left to right."""
@@ -161,11 +154,15 @@ def fundamental_unit(d: int) -> RealQuadraticUnit:
     Runs the continued-fraction recurrence
         a_k = floor((P_k + sqrt(d))/Q_k),  P_{k+1} = a_k*Q_k - P_k,
         Q_{k+1} = (d - P_{k+1}^2)/Q_k
-    from (P_0, Q_0) = (d mod 2, 2), i.e. from (1+sqrt(d))/2 or sqrt(d/4).
-    Once a state repeats, one trip around the cycle gives the automorphism
-    eps = C*alpha + E of the corresponding module, with [[A,B],[C,E]] the
-    product of the partial-quotient matrices over the cycle; that automorphism
-    is the fundamental unit, of norm (-1)^(cycle length).  The product is taken
+    from (P_0, Q_0) = (d mod 2, 2), i.e. from alpha_0 = (d mod 2 + sqrt(d))/2.
+    alpha_0 > 1 has a negative conjugate and a_0 >= 1 for d >= 5, so
+    alpha_1 = 1/(alpha_0 - a_0) is reduced (alpha_1 > 1, -1 < alpha_1' < 0)
+    and the expansion is purely periodic from index 1 (Galois; Cohen, GTM 138,
+    section 5.7): the walk records (P_1, Q_1) and stops when that state comes
+    back.  One trip around the cycle gives the automorphism eps = C*alpha + E
+    of the corresponding module, with [[A,B],[C,E]] the product of the
+    partial-quotient matrices over the cycle; that automorphism is the
+    fundamental unit, of norm (-1)^(cycle length).  The product is taken
     in a balanced tree (_cycle_product): its entries grow to about
     log2(eps) bits (some 10^5 near d = 10^9), and the tree multiplies them in
     a few large, balanced products instead of one small-by-large product per
@@ -176,18 +173,21 @@ def fundamental_unit(d: int) -> RealQuadraticUnit:
         raise ValueError(f"{d} is not a positive fundamental discriminant")
     isq = math.isqrt(d)
     P, Q = d % 2, 2
-    seen: dict[tuple[int, int], int] = {}
+    P1 = Q1 = None
     quotients: list[int] = []
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(quotients)
+    while True:
         a = (P + isq) // Q
         quotients.append(a)
         P = a * Q - P
         if (d - P * P) % Q:
             raise VerificationError(f"Q = {Q} does not divide d - P^2 at P = {P}")
         Q = (d - P * P) // Q
-    # (P, Q) now equals the state where the cycle starts
-    _, _, C, E = _cycle_product(quotients[seen[(P, Q)] :])
+        if P1 is None:
+            P1, Q1 = P, Q
+        elif P == P1 and Q == Q1:
+            break
+    # (P, Q) is back at (P_1, Q_1), where the cycle starts
+    _, _, C, E = _cycle_product(quotients[1:])
     u, v = C * P + E * Q, C
     if (2 * u) % Q or (2 * v) % Q:
         raise VerificationError("continued-fraction automorphism is not integral")
@@ -222,130 +222,3 @@ def height_and_length_bounds(abs_disc_L: int) -> tuple[int, int]:
     height = 2**44 * 3**4 * abs_disc_L**2
     return height, 8 * height
 
-
-# --- norm-one unit search in the quartic equation order -----------------------
-
-
-def _poly_mul_mod(u: list[int], w: list[int], c2: int, c0: int) -> list[int]:
-    """Multiply two elements of Z[T]/(T^4 + c2*T^2 + c0), coefficients ascending."""
-    prod = [0] * 7
-    for i, ui in enumerate(u):
-        if ui:
-            for j, wj in enumerate(w):
-                prod[i + j] += ui * wj
-    # reduce T^k for k = 6, 5, 4 via T^4 = -c2*T^2 - c0
-    for k in (6, 5, 4):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            prod[k - 2] -= c * c2
-            prod[k - 4] -= c * c0
-    return prod[:4]
-
-
-class QuarticUnit(NamedTuple):
-    coords: tuple[int, int, int, int]  # coefficients of 1, theta, theta^2, theta^3
-    height: float
-
-
-def _embeddings(ext: RelQuadExt) -> list[complex]:
-    sd = cmath.sqrt(complex(ext.delta_k))
-    thetas = []
-    for beta in (ext.x + sd, ext.x - sd):
-        root = cmath.sqrt(beta)
-        thetas.extend([root, -root])
-    return thetas
-
-
-def _is_root_of_unity(coords: tuple[int, int, int, int], ext: RelQuadExt, max_order: int = 24) -> bool:
-    thetas = _embeddings(ext)
-    vals = [abs(sum(c * th**i for i, c in enumerate(coords))) for th in thetas]
-    if any(abs(v - 1) > 1e-9 for v in vals):
-        return False
-    # all conjugates on the unit circle: Kronecker's theorem says torsion,
-    # confirm exactly by walking powers in the equation order
-    c2, c0 = -2 * ext.x, ext.norm_beta
-    power = list(coords)
-    for _ in range(max_order):
-        if power == [1, 0, 0, 0]:
-            return True
-        power = _poly_mul_mod(power, list(coords), c2, c0)
-    return False
-
-
-def norm_one_unit_search(ext: RelQuadExt, height_cap: int) -> QuarticUnit | None:
-    """Search the coefficient box |c_i| <= height_cap of the equation order
-    Z[theta] for a non-torsion unit of relative norm 1 over k.
-
-    Writing u = A + B*theta with A, B in k, the relative norm is A^2 - beta*B^2;
-    the search walks the (c1, c3) plane, solves the two-coordinate system for
-    (A, B) exactly, and keeps box solutions.  Among all solutions the
-    lexicographically smallest coordinate vector that is not a root of unity
-    is returned, or None when the box contains none (the equation order may
-    be smaller than the maximal order, so absence here decides nothing).
-    """
-    if height_cap < 0:
-        raise ValueError("height_cap must be >= 0")
-    delta, x = ext.delta_k, ext.x
-    solutions: list[tuple[int, int, int, int]] = []
-    for c1 in range(-height_cap, height_cap + 1):
-        for c3 in range(-height_cap, height_cap + 1):
-            # B = (c1 + c3*x) + c3*sqrt(delta); beta*B^2 in the (1, sqrt(delta)) basis
-            b0, b1 = c1 + c3 * x, c3
-            s0, s1 = b0 * b0 + b1 * b1 * delta, 2 * b0 * b1
-            t0, t1 = 1 + x * s0 + delta * s1, s0 + x * s1
-            # need A^2 = (t0, t1): a0^2 + a1^2*delta = t0 and 2*a0*a1 = t1
-            for a0, a1 in _square_roots_in_k(t0, t1, delta):
-                c2, c0 = a1, a0 - a1 * x
-                if abs(c2) <= height_cap and abs(c0) <= height_cap:
-                    solutions.append((c0, c1, c2, c3))
-    for coords in sorted(set(solutions)):
-        if coords == (1, 0, 0, 0) or coords == (-1, 0, 0, 0):
-            continue
-        if _is_root_of_unity(coords, ext):
-            continue
-        _verify_relative_norm(coords, ext)
-        thetas = _embeddings(ext)
-        height = sum(max(0.0, math.log(abs(sum(c * th**i for i, c in enumerate(coords))))) for th in thetas) / 4
-        return QuarticUnit(coords, height)
-    return None
-
-
-def _square_roots_in_k(t0: int, t1: int, delta: int):
-    """Integer pairs (a0, a1) with (a0 + a1*sqrt(delta))^2 = t0 + t1*sqrt(delta)."""
-    out = []
-    if t1 == 0:
-        if t0 >= 0 and arith.is_square(t0):
-            r = math.isqrt(t0)
-            out.extend([(r, 0), (-r, 0)] if r else [(0, 0)])
-        if t0 % delta == 0:
-            q = t0 // delta
-            if q >= 0 and arith.is_square(q):
-                r = math.isqrt(q)
-                if r:
-                    out.extend([(0, r), (0, -r)])
-        return out
-    # a1^2 = (-t0 + sqrt(t0^2 - delta*t1^2)) / (-2*delta)  with delta < 0
-    disc = t0 * t0 - delta * t1 * t1
-    if disc < 0 or not arith.is_square(disc):
-        return out
-    root = math.isqrt(disc)
-    for sign in (1, -1):
-        num = -t0 + sign * root
-        den = -2 * delta
-        if num % den == 0 and num // den >= 0 and arith.is_square(num // den):
-            a1 = math.isqrt(num // den)
-            if a1 and t1 % (2 * a1) == 0:
-                a0 = t1 // (2 * a1)
-                if a0 * a0 + a1 * a1 * delta == t0:
-                    out.extend([(a0, a1), (-a0, -a1)])
-    return out
-
-
-def _verify_relative_norm(coords: tuple[int, int, int, int], ext: RelQuadExt) -> None:
-    """Exact check that u * sigma(u) = 1 in the equation order (sigma: theta -> -theta)."""
-    c0, c1, c2, c3 = coords
-    sigma = [c0, -c1, c2, -c3]
-    prod = _poly_mul_mod(list(coords), sigma, -2 * ext.x, ext.norm_beta)
-    if prod != [1, 0, 0, 0]:
-        raise VerificationError(f"relative norm of {coords} is not 1")

@@ -12,7 +12,10 @@ from quatsurf.cli import build_parser, main
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -171,6 +174,21 @@ class TestCensusCommand:
         assert "error: argument" in captured.err
 
 
+    def test_checkpoints_below_2_exit_2(self, capsys, monkeypatch):
+        from quatsurf import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the checkpoints must be refused before any work")
+
+        monkeypatch.setattr(cli, "construct_fields", unreachable)
+        monkeypatch.setattr(cli, "PrimePredicate", unreachable)
+        for checkpoints in ("1,100,1000", "0,100", "-5,100"):
+            code, out, err = run_cli(["census", "--delta", "-4", "--n", "1", "--x", "1e6", "--checkpoints", checkpoints], capsys)
+            assert code == 2, checkpoints
+            assert out == ""
+            assert "--checkpoints" in err
+
+
 class TestSurfacesDemoCommand:
     def test_n_one_values(self, capsys):
         code, out, _ = run_cli(["surfaces-demo", "--n", "1", "--disc-bound", "1e4"], capsys)
@@ -222,7 +240,7 @@ class TestSurfacesDemoCommand:
             raise AssertionError("the bound must be refused before any work")
 
         monkeypatch.setattr(cli, "select_q_primes", unreachable)
-        for bound in ("12345.5", "1e16", "inf", "nan"):
+        for bound in ("12345.5", "1e16", "9007199254740993", "inf", "nan"):
             code, _, err = run_cli(["surfaces-demo", "--n", "2", "--disc-bound", bound], capsys)
             assert code == 2, bound
             assert "--disc-bound" in err

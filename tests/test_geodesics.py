@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given, settings, strategies as st
 
 from quatsurf import geodesics
@@ -16,10 +15,7 @@ from quatsurf.geodesics import (
     geodesic_length_real_quadratic,
     height_and_length_bounds,
     length_from_trace,
-    norm_one_unit_search,
     surface_obstruction,
-    _is_root_of_unity,
-    _poly_mul_mod,
 )
 from quatsurf.quadfields import fundamental_discriminants
 from quatsurf.relquad import RelQuadExt
@@ -243,59 +239,3 @@ class TestHeightBounds:
         with pytest.raises(ValueError):
             height_and_length_bounds(0)
 
-
-class TestNormOneUnitSearch:
-    def test_empty_box(self):
-        assert norm_one_unit_search(RelQuadExt(-4, 1), 0) is None
-
-    def test_finds_unit(self):
-        unit = norm_one_unit_search(RelQuadExt(-4, 1), 4)
-        assert unit is not None
-        assert unit.height > 0
-
-    def test_unit_verified_by_resultant(self):
-        unit = norm_one_unit_search(RelQuadExt(-4, 1), 4)
-        T = sympy.symbols("T")
-        f = T**4 - 2 * T**2 + 5
-        u = sum(c * T**i for i, c in enumerate(unit.coords))
-        assert sympy.resultant(f, u) == 1
-
-    def test_no_power_in_base_field(self):
-        ext = RelQuadExt(-4, 1)
-        unit = norm_one_unit_search(ext, 4)
-        power = [1, 0, 0, 0]
-        for _ in range(20):
-            power = _poly_mul_mod(power, list(unit.coords), -2 * ext.x, ext.norm_beta)
-            assert power[1] != 0 or power[3] != 0  # theta-odd part survives
-
-    def test_height_under_bound(self):
-        ext = RelQuadExt(-4, 1)
-        unit = norm_one_unit_search(ext, 4)
-        from quatsurf.relquad import poly_discriminant
-
-        height_bound, _ = height_and_length_bounds(abs(poly_discriminant(ext)))
-        assert unit.height <= height_bound
-
-    def test_second_field(self):
-        # frozen from a wider search; relative norm re-verified through sympy
-        unit = norm_one_unit_search(RelQuadExt(-4, 3), 100)
-        assert unit is not None
-        assert unit.coords == (-53, -21, 18, 9)
-        T = sympy.symbols("T")
-        f = T**4 - 6 * T**2 + 13
-        u = sum(c * T**i for i, c in enumerate(unit.coords))
-        assert sympy.resultant(f, u) == 1
-
-
-class TestRootOfUnity:
-    def test_torsion_confirmed(self):
-        ext = RelQuadExt(-4, 1)
-        assert _is_root_of_unity((1, 0, 0, 0), ext)
-        assert _is_root_of_unity((-1, 0, 0, 0), ext)
-        assert not _is_root_of_unity((0, 1, 0, 0), ext)  # |theta| = 5^(1/4)
-
-    def test_exact_walk_rejects(self, monkeypatch):
-        # every embedding on the unit circle, yet 2 - theta has norm 13, so
-        # its powers never reach 1: the exact walk must reject it
-        monkeypatch.setattr(geodesics, "_embeddings", lambda ext: [1, 1, 1, 1])
-        assert not _is_root_of_unity((2, -1, 0, 0), RelQuadExt(-4, 1))
