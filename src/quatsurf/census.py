@@ -5,9 +5,12 @@ consists of the rational primes p that split in the base field k and whose
 primes of k see every generator beta_i and conjugate reduce to a nonsquare.
 Bulk scans run one engine: a segmented sieve over [lo, hi], then, per
 segment, the membership test vectorised over the primes in int64 numpy
-(exact below SCAN_LIMIT); the fixed symbols (delta|p) and (x^2 - delta|p)
-are read from character tables.  Single queries (in_P) keep the scalar test
-with exact modular arithmetic for primes of any size.  Squarefree integers
+(exact below SCAN_LIMIT, where p^2 + p < 2^63); the fixed symbols
+(delta|p) and (x^2 - delta|p) are read from character tables, and each
+generator costs one power of x + sqrt(delta) in F_p[t]/(t^2 - delta),
+Euler's criterion in the split algebra, so no square root mod p is taken.
+Single queries (in_P) keep the scalar test with exact modular arithmetic
+(arith.mod_sqrt) for primes of any size.  Squarefree integers
 supported on P are built level by level in numpy: the products of k + 1
 distinct members from those of k.
 """
@@ -66,68 +69,19 @@ def _residues(n: int, ps: np.ndarray) -> np.ndarray:
     return (-acc) % ps if n < 0 else acc
 
 
-def _nonresidues(p: np.ndarray) -> np.ndarray:
-    """A quadratic nonresidue z mod each prime p = 1 (mod 4): the least odd prime with (p|z) = -1.
+def _power_in_k(x: np.ndarray, d: np.ndarray, e: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) with (x + t)^e = u + v*t in F_p[t]/(t^2 - d), elementwise, by
+    left-to-right square-and-multiply; x and d are residues mod p.
 
-    For p = 1 (mod 4) reciprocity gives (z|p) = (p|z), so each candidate z
-    costs one lookup in its table of residues mod z.
+    Every int64 product is of two residues below p, plus at most one more
+    residue, so each intermediate stays below p^2 + p < 2^63 for p < SCAN_LIMIT.
     """
-    z = np.zeros_like(p)
-    for q in arith.iter_primes(3):
-        todo = z == 0
-        if not todo.any():
-            return z
-        z[todo & (kronecker_table(q)[p % q] == -1)] = q
-
-
-def _tonelli_shanks(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Square roots of the residues a mod primes p = 1 (mod 8) (Cohen, GTM 138, Alg. 1.5.1).
-
-    Each round finishes some lanes; the next round runs on the rest only.
-    """
-    low = (p - 1) & -(p - 1)
-    m = np.frexp(low.astype(np.float64))[1].astype(np.int64) - 1  # p - 1 = q * 2^m, q odd
-    q = (p - 1) // low
-    c = arith.powmod(_nonresidues(p), q, p)
-    w = arith.powmod(a, (q - 1) >> 1, p)
-    r = a * w % p  # a^((q+1)/2)
-    t = r * w % p  # a^q
-    out = np.empty_like(p)
-    lane = np.arange(len(p))
-    while len(lane):
-        done = t == 1
-        out[lane[done]] = r[done]
-        keep = ~done
-        lane, p, r, t, c, m = lane[keep], p[keep], r[keep], t[keep], c[keep], m[keep]
-        # least i with t^(2^i) = 1; 0 < i < m
-        i = np.ones_like(m)
-        t2 = t * t % p
-        while (pending := t2 != 1).any():
-            i += pending
-            t2 = t2 * t2 % p
-        b = arith.powmod(c, np.left_shift(1, m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return out
-
-
-def _sqrt_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """One square root of each quadratic residue a mod odd prime p (a nonzero)."""
-    r = np.empty_like(p)
-    mod4, mod8 = p & 3, p & 7
-    lanes = mod4 == 3
-    r[lanes] = arith.powmod(a[lanes], (p[lanes] + 1) >> 2, p[lanes])
-    lanes = mod8 == 5  # Atkin: with v = (2a)^((p-5)/8) and i = 2a*v^2 (a root of -1), r = a*v*(i-1)
-    pl, al = p[lanes], a[lanes]
-    a2 = 2 * al % pl
-    v = arith.powmod(a2, (pl - 5) >> 3, pl)
-    i = a2 * v % pl * v % pl
-    r[lanes] = al * v % pl * ((i - 1) % pl) % pl
-    lanes = mod8 == 1
-    r[lanes] = _tonelli_shanks(a[lanes], p[lanes])
-    return r
+    u, v = np.ones_like(p), np.zeros_like(p)
+    for bit in reversed(range(int(e.max(initial=0)).bit_length())):
+        u, v = (u * u + d * v % p * v % p) % p, u * v % p * 2 % p
+        odd = (e >> bit) & 1 == 1
+        u, v = np.where(odd, (u * x + d * v % p) % p, u), np.where(odd, (v * x + u) % p, v)
+    return u, v
 
 
 def _segment_primes(lo: int, hi: int) -> np.ndarray:
@@ -155,9 +109,10 @@ def _scan_segment(
     The cheap conditions go first: the fixed symbols (delta|p) = 1 and
     (x^2 - delta|p) = 1 for every x, each by one lookup in its table from
     _symbol_table (tables runs parallel to delta, then xs) or, where that is
-    None, by Euler's criterion.  Square roots r of delta are taken on the
-    survivors only.  As (x + r)(x - r) = x^2 - delta is then a nonzero square,
-    (x - r|p) equals (x + r|p), so one symbol per generator decides.
+    None, by Euler's criterion.  On the survivors t -> +-r, r^2 = delta,
+    splits F_p[t]/(t^2 - delta) into F_p x F_p, so (x + t)^((p-1)/2) has
+    first coordinate u = ((x + r|p) + (x - r|p)) / 2, and u = -1 exactly when
+    both symbols are -1: one ring power per generator, with no square root.
     """
     ps = _segment_primes(lo, hi)
     ps = ps[~np.isin(ps, boundary)]
@@ -166,12 +121,9 @@ def _scan_segment(
             ps = ps[tab[ps % len(tab)] == 1]
         else:
             ps = ps[arith.powmod(_residues(n, ps), (ps - 1) >> 1, ps) == 1]
-    if not xs:
-        return ps
-    r = _sqrt_mod(_residues(delta, ps), ps)
     for x in xs:
-        keep = arith.powmod((_residues(x, ps) + r) % ps, (ps - 1) >> 1, ps) == ps - 1
-        ps, r = ps[keep], r[keep]
+        u, _ = _power_in_k(_residues(x, ps), _residues(delta, ps), (ps - 1) >> 1, ps)
+        ps = ps[u == ps - 1]
     return ps
 
 

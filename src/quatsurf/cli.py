@@ -168,14 +168,16 @@ def _cmd_census(args) -> int:
     x_bound = args.x
     if x_bound < 100:
         raise ValueError("--x too small")
-    if args.checkpoints and min(args.checkpoints) < 2:
-        # the ratio columns divide by log(checkpoint)
-        raise ValueError(f"--checkpoints must be at least 2, got {min(args.checkpoints)}")
-    exts = construct_fields(args.delta, args.n).extensions if args.n else []
-    pred = PrimePredicate(args.delta, exts)
     # diagnostic tables run at the natural inner scale sqrt(x); the algebra
     # census itself keeps the strict |disc_f| < x cutoff
     scan_bound = math.isqrt(x_bound)
+    if args.checkpoints and min(args.checkpoints) < 2:
+        # the ratio columns divide by log(checkpoint)
+        raise ValueError(f"--checkpoints must be at least 2, got {min(args.checkpoints)}")
+    if args.checkpoints and max(args.checkpoints) > scan_bound:
+        raise ValueError(f"--checkpoints must be at most isqrt(--x) = {scan_bound}, got {max(args.checkpoints)}")
+    exts = construct_fields(args.delta, args.n).extensions if args.n else []
+    pred = PrimePredicate(args.delta, exts)
     tau = 0.5 ** (2 * args.n + 1)
 
     progress = None
@@ -231,9 +233,9 @@ _DEMO_COLUMNS = ["table", "key", "i", "j", "value"]
 def _cmd_surfaces_demo(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    # wood_stats memory grows with sqrt(--disc-bound)
-    if args.disc_bound > 2**53:
-        raise ValueError(f"--disc-bound must be at most 2^53, got {args.disc_bound}")
+    # wood_stats refuses bounds below 10^4, and its memory grows with sqrt(--disc-bound)
+    if not 10**4 <= args.disc_bound <= 2**53:
+        raise ValueError(f"--disc-bound must lie between 10^4 and 2^53, got {args.disc_bound}")
     n = args.n
     selection = select_q_primes(n)
     ps, qs = selection.p_primes, selection.q_primes
@@ -300,6 +302,9 @@ _RECOVER_COLUMNS = ["table", "key", "value"]
 
 
 def _cmd_recover(args) -> int:
+    # the discriminant walk sieves with the primes up to sqrt(--d-bound), as in surfaces-demo
+    if args.d_bound > 2**53:
+        raise ValueError(f"--d-bound must be at most 2^53, got {args.d_bound}")
     k = QuadraticField(args.delta)
     ram = set()
     for p in args.pairs:
@@ -367,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surfaces-demo", help="n geodesics on pairwise distinct surfaces, with bounds")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--disc-bound", type=_integer, default=10**5, help="discriminant bound for the splitting statistics, an integer up to 2^53")
+    p.add_argument("--disc-bound", type=_integer, default=10**5, help="discriminant bound for the splitting statistics, an integer from 10^4 to 2^53")
     p.add_argument("--linnik-report", action="store_true", help="tabulate p_i against i*log(2i)")
     common(p)
     p.set_defaults(func=_cmd_surfaces_demo)
@@ -375,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="recover an algebra's split-prime pairing from subfield data")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--pairs", type=int, nargs="+", required=True, help="rational split primes carrying the ramification")
-    p.add_argument("--d-bound", type=int, default=200)
-    p.add_argument("--p-bound", type=int, default=100)
+    p.add_argument("--d-bound", type=_integer, default=200, help="bound on |D| of the quadratic fields scanned, an integer such as 2e3")
+    p.add_argument("--p-bound", type=_integer, default=100, help="bound on the candidate primes, an integer such as 1e6")
     common(p)
     p.set_defaults(func=_cmd_recover)
 

@@ -189,6 +189,31 @@ class TestMembersScan:
                 pred.members_up_to(bound)
         assert pred.members_up_to(100)[0] == 41
 
+    def test_power_in_k(self):
+        def power(x, d, e, p):  # exact (x + t)^e in F_p[t]/(t^2 - d), one factor at a time
+            u, v = 1, 0
+            for _ in range(e):
+                u, v = (u * x + d * v) % p, (u + v * x) % p
+            return u, v
+
+        ps = np.array([3, 5, 7, 13, 97, 101, 65537], dtype=np.int64)
+        xs, ds, es = ps // 2, (ps * 2) // 3, np.array([0, 1, 2, 5, 48, 50, 77])
+        u, v = census._power_in_k(xs, ds, es, ps)
+        assert list(zip(u.tolist(), v.tolist())) == [power(*map(int, t)) for t in zip(xs, ds, es, ps)]
+        empty = np.empty(0, dtype=np.int64)
+        assert [len(a) for a in census._power_in_k(empty, empty, empty, empty)] == [0, 0]
+
+    def test_scan_at_int64_edge(self):
+        # the ring power's intermediates reach p^2 + p, just below 2^63, at the top of the scan range
+        lo, hi = SCAN_LIMIT - 2 * 10**5, SCAN_LIMIT - 1
+        primes = [p for p in range(lo + 1, hi + 1, 2) if arith.is_prime(p)]
+        for delta, n in ((-4, 2), (LARGE_DELTAS[0], 1)):
+            pred = PrimePredicate(delta, construct_fields(delta, n).extensions)
+            tables = tuple(census._symbol_table(d) for d in pred._discs)
+            found = census._scan_segment(delta, pred.xs, tuple(sorted(pred.boundary)), tables, lo, hi)
+            want = [p for p in primes if p not in pred.boundary and pred.in_P(p)]
+            assert len(want) > 100 and found.tolist() == want, delta
+
     def test_in_P_beyond_scan_limit(self, predicate_n1):
         from sympy.ntheory import is_quad_residue, sqrt_mod
 

@@ -182,9 +182,11 @@ class TestCensusCommand:
 
         monkeypatch.setattr(cli, "construct_fields", unreachable)
         monkeypatch.setattr(cli, "PrimePredicate", unreachable)
-        for checkpoints in ("1,100,1000", "0,100", "-5,100"):
-            code, out, err = run_cli(["census", "--delta", "-4", "--n", "1", "--x", "1e6", "--checkpoints", checkpoints], capsys)
-            assert code == 2, checkpoints
+        # below 2, and above the scan bound isqrt(--x) = 70 or 223 (with --x 5000 no density table runs at all)
+        cases = [("1e6", "1,100,1000"), ("1e6", "0,100"), ("1e6", "-5,100"), ("5000", "100,1000,100000"), ("50000", "100,1000,100000")]
+        for x, checkpoints in cases:
+            code, out, err = run_cli(["census", "--delta", "-4", "--n", "1", "--x", x, "--checkpoints", checkpoints], capsys)
+            assert code == 2, (x, checkpoints)
             assert out == ""
             assert "--checkpoints" in err
 
@@ -240,7 +242,7 @@ class TestSurfacesDemoCommand:
             raise AssertionError("the bound must be refused before any work")
 
         monkeypatch.setattr(cli, "select_q_primes", unreachable)
-        for bound in ("12345.5", "1e16", "9007199254740993", "inf", "nan"):
+        for bound in ("12345.5", "1e16", "9007199254740993", "inf", "nan", "9999", "0", "-5"):
             code, _, err = run_cli(["surfaces-demo", "--n", "2", "--disc-bound", bound], capsys)
             assert code == 2, bound
             assert "--disc-bound" in err
@@ -267,6 +269,26 @@ class TestRecoverCommand:
     def test_nonsplit_pair_rejected(self, capsys):
         code, _, _ = run_cli(["recover", "--delta", "-4", "--pairs", "3"], capsys)
         assert code == 2
+
+    def test_bounds_parse_exactly(self, capsys):
+        parser = build_parser()
+        for text, want in (("1e6", 10**6), ("2.5e3", 2500), ("200", 200)):
+            args = parser.parse_args(["recover", "--delta", "-4", "--pairs", "5", "--d-bound", text, "--p-bound", text])
+            assert args.d_bound == want and args.p_bound == want, text
+        for flag in ("--d-bound", "--p-bound"):
+            code, out, err = run_cli(["recover", "--delta", "-4", "--pairs", "5", flag, "1000.5"], capsys)
+            assert code == 2 and out == "" and f"argument {flag}" in err
+
+    def test_d_bound_guard_exits_2(self, capsys, monkeypatch):
+        from quatsurf import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the bound must be refused before any work")
+
+        monkeypatch.setattr(cli, "recover_ramification", unreachable)
+        for bound in ("9007199254740993", "1e30"):
+            code, out, err = run_cli(["recover", "--delta", "-4", "--pairs", "5", "--d-bound", bound], capsys)
+            assert code == 2 and out == "" and "--d-bound" in err, bound
 
     def test_monotone_in_d_bound(self, capsys):
         sizes = []
