@@ -1,7 +1,7 @@
 """Elementary integer arithmetic: primality, Kronecker symbols, modular square roots.
 
-Everything here is exact integer arithmetic; numpy only appears in the bulk
-sieves and in powmod.
+Everything here is exact integer arithmetic; numpy only appears in the prime
+sieve and in powmod.
 """
 
 import itertools
@@ -36,47 +36,48 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def iter_primes(start: int = 2):
-    """Yield primes >= start, ascending, without an upper bound."""
-    n = max(2, start)
-    if n == 2:
-        yield 2
-        n = 3
-    if n % 2 == 0:
-        n += 1
-    while True:
-        if is_prime(n):
-            yield n
-        n += 2
+SEGMENT = 1 << 20
+"""Integers per sieve window: a 1 MB bool strip for primes_between."""
+
+
+def primes_between(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi], ascending, as an int64 array: one bool strip struck
+    by the base primes up to sqrt(hi) (segmented Eratosthenes, Bays-Hudson).
+    This is the package's one prime sieve.  Memory is the strip plus the base
+    primes, so callers walk long ranges in windows of SEGMENT."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return np.empty(0, dtype=np.int64)
+    strip = np.ones(hi - lo + 1, dtype=bool)
+    for p in primes_up_to(math.isqrt(hi)).tolist():
+        start = max(p * p, -(-lo // p) * p)
+        strip[start - lo :: p] = False
+    return np.flatnonzero(strip) + lo
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (plain Eratosthenes on a bool array)."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    """All primes <= n as an int64 array, from one strip of n bytes."""
+    return primes_between(2, n)
+
+
+def iter_primes(start: int = 2):
+    """Yield primes >= start, ascending, without an upper bound.
+
+    The walk sieves windows [lo, lo + min(lo, SEGMENT)]: they double from
+    tiny ones, so a walk that stops early sieves little, and stop growing at
+    one SEGMENT.  Each window takes one strike per prime up to sqrt(hi), about
+    a second at 10^12, so single queries that far out belong to is_prime.
+    """
+    lo = max(2, start)
+    while True:
+        hi = lo + min(lo, SEGMENT)
+        yield from primes_between(lo, hi).tolist()
+        lo = hi + 1
 
 
 def is_squarefree(n: int) -> bool:
-    """No square > 1 divides n: trial division up to the cube root of what is
-    left, whose cofactor then has at most two prime factors, so it is
-    squarefree unless it is the square of a prime."""
-    n = abs(n)
-    if n == 0:
-        return False
-    p = 2
-    while p * p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 1 if p == 2 else 2
-    return n == 1 or not is_square(n)
+    """No square > 1 divides n."""
+    return n != 0 and all(e == 1 for e in factorize(n).values())
 
 
 def is_square(n: int) -> bool:

@@ -3,10 +3,10 @@
 The prime set P attached to a family of relative quadratic extensions
 consists of the rational primes p that split in the base field k and whose
 primes of k see every generator beta_i and conjugate reduce to a nonsquare.
-Bulk scans run one engine: a segmented sieve over [lo, hi], then, per
-segment, the membership test vectorised over the primes in int64 numpy
-(exact below SCAN_LIMIT, where p^2 + p < 2^63); the fixed symbols
-(delta|p) and (x^2 - delta|p) are read from character tables, and each
+Bulk scans run one engine: the segmented sieve arith.primes_between over
+[lo, hi], then, per segment, the membership test vectorised over the primes
+in int64 numpy (exact below SCAN_LIMIT, where p^2 + p < 2^63); the fixed
+symbols (delta|p) and (x^2 - delta|p) are read from character tables, and each
 generator costs one power of x + sqrt(delta) in F_p[t]/(t^2 - delta),
 Euler's criterion in the split algebra, so no square root mod p is taken.
 Single queries (in_P) keep the scalar test with exact modular arithmetic
@@ -50,8 +50,8 @@ def _nonsquare_at_all(delta: int, xs: tuple[int, ...], p: int) -> bool:
     return True
 
 
-SEGMENT = 1 << 20
-"""Integers per sieve segment: a 1 MB bool strip, and well under 1 MB per int64 lane array."""
+SEGMENT = arith.SEGMENT
+"""Integers per scan segment: one sieve window, and well under 1 MB per int64 lane array."""
 
 SCAN_LIMIT = arith.POWMOD_LIMIT  # scans multiply residues in int64 (arith.powmod)
 
@@ -84,15 +84,6 @@ def _power_in_k(x: np.ndarray, d: np.ndarray, e: np.ndarray, p: np.ndarray) -> t
     return u, v
 
 
-def _segment_primes(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi], 2 <= lo, sieved by the base primes up to sqrt(hi) (Bays-Hudson)."""
-    strip = np.ones(hi - lo + 1, dtype=bool)
-    for p in arith.primes_up_to(math.isqrt(hi)).tolist():
-        start = max(p * p, -(-lo // p) * p)
-        strip[start - lo :: p] = False
-    return np.flatnonzero(strip) + lo
-
-
 def _symbol_table(disc: int) -> np.ndarray | None:
     """chi_disc over one period, read at p mod |disc| (disc = 1, from a square,
     is the trivial character); None past SEGMENT, where Euler's criterion decides."""
@@ -114,7 +105,7 @@ def _scan_segment(
     first coordinate u = ((x + r|p) + (x - r|p)) / 2, and u = -1 exactly when
     both symbols are -1: one ring power per generator, with no square root.
     """
-    ps = _segment_primes(lo, hi)
+    ps = arith.primes_between(lo, hi)
     ps = ps[~np.isin(ps, boundary)]
     for n, tab in zip((delta,) + tuple(x * x - delta for x in xs), tables):
         if tab is not None:

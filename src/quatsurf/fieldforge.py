@@ -117,7 +117,7 @@ def construct_fields(delta_k: int, n: int, search_cap: int = 100_000) -> FieldCo
     k = QuadraticField(delta_k)
     if not k.is_imaginary:
         raise ValueError("base field must be imaginary quadratic")
-    primes, linnik_ratio = split_primes_prefix(k, n, odd_only=True)
+    primes, linnik_ratio = split_primes_prefix(k, n)
 
     rows: list[FieldRow] = []
     exts: list[RelQuadExt] = []

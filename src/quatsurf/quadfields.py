@@ -130,12 +130,12 @@ class SplitPrimePrefix(NamedTuple):
     linnik_ratio: float
 
 
-def split_primes_prefix(k: QuadraticField, n: int, odd_only: bool = True) -> SplitPrimePrefix:
-    """The n smallest (odd) rational primes that split in k, ascending."""
+def split_primes_prefix(k: QuadraticField, n: int) -> SplitPrimePrefix:
+    """The n smallest odd rational primes that split in k, ascending."""
     if n < 1:
         raise ValueError("n must be >= 1")
     found: list[int] = []
-    for p in arith.iter_primes(3 if odd_only else 2):
+    for p in arith.iter_primes(3):
         if splitting(k, p) is SplitType.SPLIT:
             found.append(p)
             if len(found) == n:

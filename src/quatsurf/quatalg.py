@@ -10,8 +10,9 @@ the ramification-recovery procedure reconstructs the split-prime pairing of
 an algebra from the quadratic fields its rational ancestors can contain.
 """
 
+import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -189,32 +190,39 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
     even size.  The intersection over admissible L of the primes <= prime_bound
     nonsplit in L always contains the pairing, and shrinks to it as the
     bounds grow; the truncation at (d_bound, prime_bound) is the caller's.
+    Memory is one block of discriminants, one sieve window and the surviving
+    primes: the candidates up to prime_bound are walked, never listed.
     """
     pairing = fuchsian_admissible(b)
     if not pairing:
         raise ValueError("algebra is not a base change of a rational algebra")
     need_aux = len(pairing.primes) % 2 == 1
-    candidates = [int(p) for p in arith.primes_up_to(prime_bound)]
-    nonsplit_in_k = [q for q in candidates if arith.kronecker(b.delta_k, q) != 1]
+
+    def primes() -> Iterator[int]:
+        return itertools.takewhile(lambda q: q <= prime_bound, arith.iter_primes())
 
     # one (D|p) row per prime and block: never the whole D x p matrix
-    surviving = candidates
+    surviving: list[int] | None = None  # the candidates, once the first admissible block has struck them
     admissible = 0
     for discs in discriminant_blocks(d_bound):
         for p in pairing.primes:
             discs = discs[kronecker_row(discs, p) != 1]
         if need_aux:
             aux = np.zeros(len(discs), dtype=bool)
-            for q in nonsplit_in_k:
-                aux |= kronecker_row(discs, q) != 1
-                if aux.all():
-                    break
+            for q in primes():
+                if arith.kronecker(b.delta_k, q) != 1:
+                    aux |= kronecker_row(discs, q) != 1
+                    if aux.all():
+                        break
             discs = discs[aux]
+        if len(discs) == 0:
+            continue
         admissible += len(discs)
         # about half the fields split any given p, so scalar symbols on a short head
-        # strike most candidates; a row is built only for the few left
+        # strike most candidates as the sieve walks them; a row is built only for the few left
         head = discs[:64].tolist()
-        surviving = [p for p in surviving if not any(arith.kronecker(d, p) == 1 for d in head)]
+        walk = primes() if surviving is None else surviving
+        surviving = [p for p in walk if not any(arith.kronecker(d, p) == 1 for d in head)]
         surviving = [p for p in surviving if not (kronecker_row(discs[64:], p) == 1).any()]
     if admissible == 0:
         raise BoundsTooSmall(f"no admissible quadratic field found below |D| = {d_bound}")

@@ -153,7 +153,7 @@ class CompositumCertificate:
 
     independent is True when every field got a witness prime (ramified there
     and nowhere else in the family), None when some field found no witness
-    below the search bound.  The sufficient criterion can never certify
+    among its candidates.  The sufficient criterion can never certify
     failure, so False is never produced.
     """
 
@@ -164,7 +164,7 @@ class CompositumCertificate:
         return self.independent is True
 
 
-def compositum_degree_check(exts: list[RelQuadExt], search_bound: int | None = None) -> CompositumCertificate:
+def compositum_degree_check(exts: list[RelQuadExt]) -> CompositumCertificate:
     """Certify that L_1, ..., L_n and their conjugates are jointly independent.
 
     Sufficient criterion: for each i find a degree-one prime of k ramified in
@@ -192,8 +192,6 @@ def compositum_degree_check(exts: list[RelQuadExt], search_bound: int | None = N
             for q, v in arith.factorize(norms[i]).items()
             if q % 2 == 1 and v % 2 == 1 and delta % q != 0 and all(norms[j] % q != 0 for j in range(len(exts)) if j != i)
         )
-        if search_bound is not None:
-            candidates = [q for q in candidates if q <= search_bound]
         for q in candidates:
             # q | x_i^2 - delta forces delta to be a square mod q, so q splits
             prime = PrimeOfK(q, SplitType.SPLIT, (-ext.x) % q)

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from quatsurf import PrimePredicate, construct_fields
+
+# pyproject's pythonpath reaches this process only; child processes started
+# with sys.executable find the package through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,13 @@
 import math
 import random
+from itertools import count, dropwhile, takewhile
 
+import numpy as np
 import pytest
 import sympy
 
 from quatsurf import arith
+from quatsurf.census import SCAN_LIMIT
 from quatsurf.quadfields import _squarefree_strip
 
 
@@ -19,15 +22,42 @@ class TestPrimality:
         assert arith.is_prime(10**18 + 9)
 
     def test_sieve_matches_walk(self):
-        from itertools import islice
-
-        sieve = [int(p) for p in arith.primes_up_to(500)]
-        walk = list(islice(arith.iter_primes(), len(sieve)))
-        assert sieve == walk
+        walk = list(takewhile(lambda p: p <= 5000, arith.iter_primes()))
+        assert walk == [n for n in range(5001) if arith.is_prime(n)]
 
     def test_iter_primes_start(self):
         gen = arith.iter_primes(14)
         assert [next(gen) for _ in range(3)] == [17, 19, 23]
+
+    def test_iter_primes_across_window_edges(self):
+        # windows [lo, lo + min(lo, SEGMENT)]: doubling from 1000 (edges 2000, 4002, 8004),
+        # then one SEGMENT long, here ending on a prime
+        edge = next(n for n in count(2 * arith.SEGMENT) if arith.is_prime(n))
+        for start, lo, hi in ((1000, 1000, 9000), (edge - arith.SEGMENT, edge - 500, edge + 500)):
+            got = list(takewhile(lambda p: p <= hi, dropwhile(lambda p: p < lo, arith.iter_primes(start))))
+            assert got == [n for n in range(lo, hi + 1) if arith.is_prime(n)], start
+
+
+class TestPrimesBetween:
+    CASES = (
+        [(-10, 1), (-5, 30), (0, 2), (2, 2), (4, 4), (13, 13), (10, 3), (100, 99), (2, 1000)]
+        # strips that straddle a prime square, so its first strike lands inside
+        + [(p * p - 15, p * p + 15) for p in (2, 3, 5, 7, 11, 97, 1009, 10007)]
+        # windows that start just below a SEGMENT edge
+        + [(k * arith.SEGMENT - d, k * arith.SEGMENT + 5000) for k in (1, 3) for d in (1, 2, 7)]
+        + [(SCAN_LIMIT - 5000, SCAN_LIMIT + 5000), (SCAN_LIMIT - 1, SCAN_LIMIT - 1)]
+    )
+
+    def test_against_is_prime_and_sympy(self):
+        for lo, hi in self.CASES:
+            got = arith.primes_between(lo, hi)
+            assert got.dtype == np.int64
+            want = list(sympy.primerange(lo, hi + 1))
+            assert got.tolist() == want == [n for n in range(lo, hi + 1) if arith.is_prime(n)], (lo, hi)
+
+    def test_primes_up_to(self):
+        for n in (-3, 0, 1, 2, 3, 4, 25, 26, 10**5):
+            assert arith.primes_up_to(n).tolist() == list(sympy.primerange(n + 1)), n
 
 
 class TestSquarefree:

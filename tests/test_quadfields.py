@@ -119,10 +119,6 @@ class TestSplitPrimePrefix:
         assert ratio == primes[-1] / (10 * math.log(20))
         assert primes == sorted(primes)
 
-    def test_even_prime_allowed_when_not_odd_only(self):
-        # 2 splits in the field of discriminant 17
-        assert split_primes_prefix(QuadraticField(17), 1, odd_only=False).primes == [2]
-
 
 class TestDiscriminantEnumeration:
     def test_examples(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -200,6 +202,19 @@ class TestRecoverRamification:
             if previous is not None:
                 assert got <= previous
             previous = got
+
+    def test_memory_is_one_prime_window(self):
+        # the candidates up to prime_bound are walked in sieve windows, not listed:
+        # a list of the 216816 primes below 3e6 alone would take about 8 MiB
+        b = base_change(QuatAlgQ({5, 13}), -4)
+        tracemalloc.start()
+        try:
+            got = recover_ramification(b, 200, 3 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.primes == [5, 13]
+        assert peak < 6 * 2**20, peak
 
     def test_starved_bounds(self):
         with pytest.raises(BoundsTooSmall):
