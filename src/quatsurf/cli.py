@@ -303,8 +303,10 @@ _RECOVER_COLUMNS = ["table", "key", "value"]
 
 def _cmd_recover(args) -> int:
     # the discriminant walk sieves with the primes up to sqrt(--d-bound), as in surfaces-demo
-    if args.d_bound > 2**53:
-        raise ValueError(f"--d-bound must be at most 2^53, got {args.d_bound}")
+    if not 1 <= args.d_bound <= 2**53:
+        raise ValueError(f"--d-bound must lie between 1 and 2^53, got {args.d_bound}")
+    if args.p_bound < 1:
+        raise ValueError(f"--p-bound must be at least 1, got {args.p_bound}")
     k = QuadraticField(args.delta)
     ram = set()
     for p in args.pairs:

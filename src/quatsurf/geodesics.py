@@ -9,10 +9,10 @@ therefore never run inside a finite-area totally geodesic surface, and over
 our quartic fields that realness obstruction is precisely the failure of the
 field to be Galois over Q.
 
-Fundamental units of real quadratic orders are computed by the classical
-continued-fraction cycle of the quadratic irrational (s + sqrt(d))/2, which
-stays in exact integer arithmetic and handles the enormous units that already
-occur below d = 10^4.
+Fundamental units of real quadratic orders are computed from the first half
+of the classical continued-fraction cycle of the quadratic irrational
+(s + sqrt(d))/2, which stays in exact integer arithmetic and handles the
+enormous units that already occur below d = 10^4.
 """
 
 import cmath
@@ -131,8 +131,9 @@ LEAF = 32
 
 def _cycle_product(quotients: list[int]) -> tuple[int, int, int, int]:
     """(A, B, C, E) with [[A, B], [C, E]] the product of [[a, 1], [1, 0]] over the
-    non-empty list quotients, left to right, in a balanced product tree: runs of
-    LEAF quotients are multiplied out, then neighbours are multiplied pairwise."""
+    list quotients, left to right (the identity for an empty list), in a
+    balanced product tree: runs of LEAF quotients are multiplied out, then
+    neighbours are multiplied pairwise."""
     level = []
     for i in range(0, len(quotients), LEAF):
         A, B, C, E = 1, 0, 0, 1
@@ -145,7 +146,7 @@ def _cycle_product(quotients: list[int]) -> tuple[int, int, int, int]:
             for (A, B, C, E), (A2, B2, C2, E2) in zip(level[::2], level[1::2])
         ]
         level = paired + level[len(paired) * 2 :]
-    return level[0]
+    return level[0] if level else (1, 0, 0, 1)
 
 
 def fundamental_unit(d: int) -> RealQuadraticUnit:
@@ -154,46 +155,57 @@ def fundamental_unit(d: int) -> RealQuadraticUnit:
     Runs the continued-fraction recurrence
         a_k = floor((P_k + sqrt(d))/Q_k),  P_{k+1} = a_k*Q_k - P_k,
         Q_{k+1} = (d - P_{k+1}^2)/Q_k
-    from (P_0, Q_0) = (d mod 2, 2), i.e. from alpha_0 = (d mod 2 + sqrt(d))/2.
-    alpha_0 > 1 has a negative conjugate and a_0 >= 1 for d >= 5, so
-    alpha_1 = 1/(alpha_0 - a_0) is reduced (alpha_1 > 1, -1 < alpha_1' < 0)
-    and the expansion is purely periodic from index 1 (Galois; Cohen, GTM 138,
-    section 5.7): the walk records (P_1, Q_1) and stops when that state comes
-    back.  One trip around the cycle gives the automorphism eps = C*alpha + E
-    of the corresponding module, with [[A,B],[C,E]] the product of the
-    partial-quotient matrices over the cycle; that automorphism is the
-    fundamental unit, of norm (-1)^(cycle length).  The product is taken
-    in a balanced tree (_cycle_product): its entries grow to about
-    log2(eps) bits (some 10^5 near d = 10^9), and the tree multiplies them in
-    a few large, balanced products instead of one small-by-large product per
-    quotient.  It is exact, so the unit is the (a, b, norm) of the
-    left-to-right product.
+    for alpha_k = (P_k + sqrt(d))/Q_k from (P_0, Q_0) = (s, 2), s = d mod 2.
+    alpha_1 = 1/(alpha_0 - a_0) is reduced (alpha_1 > 1, -1 < alpha_1' < 0), so
+    the expansion is purely periodic from index 1, with some period L (Galois;
+    Cohen, GTM 138, section 5.7).  With [[A, B], [C, E]] the product of the
+    symmetric M(a) = [[a, 1], [1, 0]] over a_1..a_L, eps = C*alpha_1 + E is the
+    fundamental unit, of norm (-1)^L.
+
+    The walk goes only half way round (Jacobson and Williams, *Solving the Pell
+    Equation*).  1/(alpha_L - a_L) = alpha_1 = 1/(alpha_0 - a_0), so
+    alpha_L - alpha_0 is the integer m with -1 < alpha_0' + m < 0, i.e.
+    m = floor((sqrt(d) - s)/2), and a_L = a_0 + m = 2*a_0 - s = P_1.  The
+    involution alpha -> -1/alpha' sends alpha_k to (P_k + sqrt(d))/Q_{k-1},
+    reverses the cycle and sends alpha_1 to alpha_0 + m = alpha_L, so it is
+    alpha_k -> alpha_{L+1-k}: a_1..a_{L-1} is a palindrome.  Its mirror point
+    is the first k >= 1 with Q_{k+1} = Q_k (fixed point, L = 2k + 1) or
+    P_{k+1} = P_k (fixed pair, L = 2k).  With S the product over the half
+    a_1..a_k, the cycle is S*S^T*M(a_L) for an even palindrome and, with the
+    middle a_k taken off the half, S*M(a_k)*S^T*M(a_L) for an odd one.
+    Period 1 returns to (P_1, Q_1) at once, where both equalities hold: its
+    half is empty and its cycle M(a_1).  Only the bottom row (C, E) of the
+    cycle enters eps, so the top level is C*A + E*B and C^2 + E^2, not a full
+    2x2 product.  S is taken in a balanced tree (_cycle_product): its entries
+    grow to about log2(eps)/2 bits (some 5*10^4 near d = 10^9), and the tree
+    multiplies them in a few large, balanced products.
     """
     if d <= 0 or not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a positive fundamental discriminant")
     isq = math.isqrt(d)
-    P, Q = d % 2, 2
-    P1 = Q1 = None
-    quotients: list[int] = []
+    P = P1 = 2 * ((d % 2 + isq) // 2) - d % 2  # 2*a_0 - s = a_L
+    Q = Q1 = (d - P1 * P1) // 2
+    half: list[int] = []
     while True:
         a = (P + isq) // Q
-        quotients.append(a)
-        P = a * Q - P
-        if (d - P * P) % Q:
-            raise VerificationError(f"Q = {Q} does not divide d - P^2 at P = {P}")
-        Q = (d - P * P) // Q
-        if P1 is None:
-            P1, Q1 = P, Q
-        elif P == P1 and Q == Q1:
+        half.append(a)
+        P_next = a * Q - P
+        if (d - P_next * P_next) % Q:
+            raise VerificationError(f"Q = {Q} does not divide d - P^2 at P = {P_next}")
+        Q_next = (d - P_next * P_next) // Q
+        if P_next == P or Q_next == Q:
             break
-    # (P, Q) is back at (P_1, Q_1), where the cycle starts
-    _, _, C, E = _cycle_product(quotients[1:])
-    u, v = C * P + E * Q, C
-    if (2 * u) % Q or (2 * v) % Q:
+        P, Q = P_next, Q_next
+    odd = Q_next != Q  # an odd palindrome, with middle a_k
+    mid = half.pop() if P_next == P else 0  # the middle, or a_1 of period 1
+    A, B, C, E = _cycle_product(half)
+    c, e = (C * mid + E, C) if odd else (C, E)  # bottom row of S or S*M(a_k)
+    x, y = c * A + e * B, c * C + e * E  # times S^T
+    C, E = x * P1 + y, x  # times M(a_L)
+    u, v = C * P1 + E * Q1, C
+    if (2 * u) % Q1 or (2 * v) % Q1:
         raise VerificationError("continued-fraction automorphism is not integral")
-    a_coef, b_coef = 2 * u // Q, 2 * v // Q
-    norm = (a_coef * a_coef - d * b_coef * b_coef) // 4
-    return RealQuadraticUnit(d, a_coef, b_coef, norm)
+    return RealQuadraticUnit(d, 2 * u // Q1, 2 * v // Q1, 1 if odd else -1)
 
 
 def geodesic_length_real_quadratic(d: int) -> GeodesicLength:

@@ -225,7 +225,8 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
         surviving = [p for p in walk if not any(arith.kronecker(d, p) == 1 for d in head)]
         surviving = [p for p in surviving if not (kronecker_row(discs[64:], p) == 1).any()]
     if admissible == 0:
-        raise BoundsTooSmall(f"no admissible quadratic field found below |D| = {d_bound}")
+        aux_bound = f" and auxiliary primes <= {prime_bound}" if need_aux else ""
+        raise BoundsTooSmall(f"no admissible quadratic field found with |D| <= {d_bound}{aux_bound}")
     return RecoveredRamification(
         primes=surviving,
         admissible_field_count=admissible,

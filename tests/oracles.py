@@ -1,10 +1,12 @@
 """Brute-force oracles, independent of the package's own arithmetic paths.
 
 Splitting oracles factor minimal polynomials mod p by exhaustive root
-enumeration; the Pell oracle iterates b directly, and the convergent Pell
+enumeration; the Pell oracle iterates b directly, the convergent Pell
 oracle walks the continued fraction of sqrt(d) rather than the cycle of
-(s + sqrt(d))/2; the recovery oracle redoes the subfield intersection with
-enumeration-based splitting throughout.  The P-membership oracle finds square
+(s + sqrt(d))/2, and the full-cycle unit oracle walks that whole cycle, one
+matrix at a time, where the package stops at its mirror point; the recovery
+oracle redoes the subfield intersection with enumeration-based splitting
+throughout.  The P-membership oracle finds square
 roots by enumeration; the squarefree sieve counts P-supported integers by
 striking a boolean strip and the subset walk lists them by a depth-first
 walk over products of members; the L-value oracle sums mpmath's Hurwitz zeta.
@@ -18,6 +20,7 @@ import math
 import numpy as np
 
 from quatsurf import arith
+from quatsurf.errors import VerificationError
 from quatsurf.quadfields import SplitType, discriminant_blocks, kronecker_row
 
 
@@ -177,6 +180,45 @@ def pell_convergent_oracle(d: int):
         a = (r + m) // den
         h_prev, h, k_prev, k = h, a * h + h_prev, k, a * k + k_prev
     return best
+
+
+def cycle_product_oracle(quotients):
+    """(A, B, C, E) with [[A, B], [C, E]] the product of [[a, 1], [1, 0]] over
+    quotients, one matrix at a time from the left."""
+    A, B, C, E = 1, 0, 0, 1
+    for a in quotients:
+        A, B, C, E = A * a + B, A, C * a + E, C
+    return A, B, C, E
+
+
+def unit_full_cycle_oracle(d: int):
+    """(a, b, norm) of the fundamental unit of discriminant d from the whole
+    continued-fraction cycle of (d mod 2 + sqrt(d))/2: the walk records the
+    reduced state (P_1, Q_1), stops when it comes back, and takes the product
+    over every partial quotient of the cycle."""
+    isq = math.isqrt(d)
+    P, Q = d % 2, 2
+    P1 = Q1 = None
+    quotients: list[int] = []
+    while True:
+        a = (P + isq) // Q
+        quotients.append(a)
+        P = a * Q - P
+        if (d - P * P) % Q:
+            raise VerificationError(f"Q = {Q} does not divide d - P^2 at P = {P}")
+        Q = (d - P * P) // Q
+        if P1 is None:
+            P1, Q1 = P, Q
+        elif P == P1 and Q == Q1:
+            break
+    # (P, Q) is back at (P_1, Q_1), where the cycle starts
+    _, _, C, E = cycle_product_oracle(quotients[1:])
+    u, v = C * P + E * Q, C
+    if (2 * u) % Q or (2 * v) % Q:
+        raise VerificationError("continued-fraction automorphism is not integral")
+    a_coef, b_coef = 2 * u // Q, 2 * v // Q
+    norm = (a_coef * a_coef - d * b_coef * b_coef) // 4
+    return a_coef, b_coef, norm
 
 
 def fundamental_discs_oracle(x: int, sign: str) -> list[int]:

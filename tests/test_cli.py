@@ -290,6 +290,23 @@ class TestRecoverCommand:
             code, out, err = run_cli(["recover", "--delta", "-4", "--pairs", "5", "--d-bound", bound], capsys)
             assert code == 2 and out == "" and "--d-bound" in err, bound
 
+    def test_nonpositive_bounds_exit_2(self, capsys, monkeypatch):
+        from quatsurf import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the bound must be refused before any work")
+
+        monkeypatch.setattr(cli, "QuadraticField", unreachable)
+        for flag in ("--d-bound", "--p-bound"):
+            for bound in ("0", "-5", "-1e6"):
+                code, out, err = run_cli(["recover", "--delta", "-4", "--pairs", "5", flag, bound], capsys)
+                assert code == 2 and out == "" and flag in err, (flag, bound)
+
+    def test_small_positive_bounds_exit_4(self, capsys):
+        for flag in ("--d-bound", "--p-bound"):
+            code, _, err = run_cli(["recover", "--delta", "-4", "--pairs", "5", flag, "1"], capsys)
+            assert code == 4 and "bounds too small" in err, flag
+
     def test_monotone_in_d_bound(self, capsys):
         sizes = []
         for db in ("100", "200", "400"):

@@ -20,7 +20,7 @@ from quatsurf.geodesics import (
 from quatsurf.quadfields import fundamental_discriminants
 from quatsurf.relquad import RelQuadExt
 
-from oracles import pell_convergent_oracle, pell_unit_oracle
+from oracles import cycle_product_oracle, pell_convergent_oracle, pell_unit_oracle, unit_full_cycle_oracle
 
 
 class TestClassifyTrace:
@@ -174,6 +174,25 @@ class TestFundamentalUnit:
         assert u.a * u.a - 9949 * u.b * u.b == 4 * u.norm
         assert 0 < u.regulator < 1000
 
+    def test_matches_full_cycle_oracle(self):
+        # every fundamental d < 3*10^4: the half-period walk against the whole cycle
+        ds = list(fundamental_discriminants(30000, "real"))
+        assert len(ds) == 9118
+        for d in ds:
+            u = fundamental_unit(d)
+            assert (u.a, u.b, u.norm) == unit_full_cycle_oracle(d), d
+
+    @pytest.mark.parametrize(
+        "d",
+        [5, 8, 13, 29, 40, 53]  # period 1: the first step returns to (P_1, Q_1)
+        + [17, 37, 41, 61, 65]  # even palindrome: stops on Q_{k+1} = Q_k, norm -1
+        + [12, 21, 24, 28, 33],  # odd palindrome: stops on P_{k+1} = P_k, norm +1
+    )
+    def test_mirror_point_branches(self, d):
+        u = fundamental_unit(d)
+        assert (u.a, u.b, u.norm) == unit_full_cycle_oracle(d) == pell_unit_oracle(d)
+        assert u.norm == (1 if d in (12, 21, 24, 28, 33) else -1)
+
     def test_rejects_bad_input(self):
         for d in (-4, 0, 9, 20):
             with pytest.raises(ValueError):
@@ -181,12 +200,8 @@ class TestFundamentalUnit:
 
 
 class TestCycleProduct:
-    @staticmethod
-    def left_to_right(quotients):
-        A, B, C, E = 1, 0, 0, 1
-        for a in quotients:
-            A, B, C, E = A * a + B, A, C * a + E, C
-        return A, B, C, E
+    def test_empty_is_identity(self):
+        assert geodesics._cycle_product([]) == (1, 0, 0, 1)
 
     def test_matches_left_to_right(self):
         rng = random.Random(20261018)
@@ -194,7 +209,7 @@ class TestCycleProduct:
         edges = [1, 2, 3, leaf - 1, leaf, leaf + 1, 2 * leaf - 1, 2 * leaf, 2 * leaf + 1, 3 * leaf, 5 * leaf + 1, 299, 300]
         for n in edges + [rng.randint(1, 300) for _ in range(60)]:
             quotients = [rng.randint(1, 10 ** rng.randint(1, 8)) for _ in range(n)]
-            assert geodesics._cycle_product(quotients) == self.left_to_right(quotients), n
+            assert geodesics._cycle_product(quotients) == cycle_product_oracle(quotients), n
 
 
 class TestGeodesicLengthRealQuadratic:
