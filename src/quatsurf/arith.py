@@ -1,7 +1,7 @@
 """Elementary integer arithmetic: primality, Kronecker symbols, modular square roots.
 
 Everything here is exact integer arithmetic; numpy only appears in the prime
-sieve and in powmod.
+sieve, powmod and residues.
 """
 
 import itertools
@@ -63,12 +63,12 @@ def primes_up_to(n: int) -> np.ndarray:
 def iter_primes(start: int = 2):
     """Yield primes >= start, ascending, without an upper bound.
 
-    The walk sieves windows [lo, lo + min(lo, SEGMENT)]: they double from
-    tiny ones, so a walk that stops early sieves little, and stop growing at
-    one SEGMENT.  Each window takes one strike per prime up to sqrt(hi), so a
-    far first window costs about sqrt(start)/log(start) strikes: the first
-    prime past 10^12 takes about 0.13 s, past 10^13 0.4 s and past 10^14 1.1 s
-    (2-vCPU VM), and single queries that far out belong to is_prime.
+    The walk sieves windows [lo, lo + min(lo, SEGMENT)]: they double from tiny
+    ones, so a walk that stops early sieves little, and stop growing at one
+    SEGMENT.  Each window takes one strike per prime up to sqrt(hi), so a far
+    first window costs about sqrt(start)/log(start) strikes (the first prime
+    past 10^12 takes about 0.13 s, past 10^14 1.1 s on a 2-vCPU VM); its only
+    callers, primeforge and quadfields.split_primes_prefix, start at 3 and never pay it.
     """
     lo = max(2, start)
     while True:
@@ -211,6 +211,19 @@ def powmod(b: np.ndarray, e, p) -> np.ndarray:
         if not e.any():
             return r
         b = b * b % p
+
+
+def residues(n: int, ps: np.ndarray) -> np.ndarray:
+    """n mod p for every p in the int64 array ps, for a Python int n of any size (Horner in base 2^31)."""
+    digits = []
+    m = abs(n)
+    while m:
+        digits.append(m & 0x7FFFFFFF)
+        m >>= 31
+    acc = np.zeros_like(ps)
+    for d in reversed(digits):
+        acc = (acc * (1 << 31) + d) % ps
+    return (-acc) % ps if n < 0 else acc
 
 
 def mod_sqrt(a: int, p: int) -> int:

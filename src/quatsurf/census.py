@@ -5,10 +5,11 @@ consists of the rational primes p that split in the base field k and whose
 primes of k see every generator beta_i and conjugate reduce to a nonsquare.
 Bulk scans run one engine: the segmented sieve arith.primes_between over
 [lo, hi], then, per segment, the membership test vectorised over the primes
-in int64 numpy (exact below SCAN_LIMIT, where p^2 + p < 2^63); the fixed
-symbols (delta|p) and (x^2 - delta|p) are read from character tables, and each
-generator costs one power of x + sqrt(delta) in F_p[t]/(t^2 - delta),
-Euler's criterion in the split algebra, so no square root mod p is taken.
+in int64 numpy (exact below SCAN_LIMIT, where p^2 + p < 2^63); each fixed
+symbol (delta|p) or (x^2 - delta|p) is one quadfields.symbol_column of the
+discriminant of Q(sqrt(delta)) or Q(sqrt(x^2 - delta)), and each generator
+costs one power of x + sqrt(delta) in F_p[t]/(t^2 - delta), Euler's
+criterion in the split algebra, so no square root mod p is taken.
 Single queries (in_P) keep the scalar test with exact modular arithmetic
 (arith.mod_sqrt) for primes of any size.  Squarefree integers
 supported on P are built level by level in numpy: the products of k + 1
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import arith, quadfields
 from .errors import BoundaryPrimeError, VerificationError
-from .quadfields import QuadraticField, character_table, kronecker_row, kronecker_table, primes_above
+from .quadfields import QuadraticField, kronecker_row, primes_above, symbol_column
 from .quatalg import QuatAlgK, embeds, fuchsian_admissible
 from .relquad import RelQuadExt
 
@@ -56,19 +57,6 @@ SEGMENT = arith.SEGMENT
 SCAN_LIMIT = arith.POWMOD_LIMIT  # scans multiply residues in int64 (arith.powmod)
 
 
-def _residues(n: int, ps: np.ndarray) -> np.ndarray:
-    """n mod p for every p in ps, for a Python int n of any size (Horner in base 2^31)."""
-    digits = []
-    m = abs(n)
-    while m:
-        digits.append(m & 0x7FFFFFFF)
-        m >>= 31
-    acc = np.zeros_like(ps)
-    for d in reversed(digits):
-        acc = (acc * (1 << 31) + d) % ps
-    return (-acc) % ps if n < 0 else acc
-
-
 def _power_in_k(x: np.ndarray, d: np.ndarray, e: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u, v) with (x + t)^e = u + v*t in F_p[t]/(t^2 - d), elementwise, by
     left-to-right square-and-multiply; x and d are residues mod p.
@@ -84,36 +72,25 @@ def _power_in_k(x: np.ndarray, d: np.ndarray, e: np.ndarray, p: np.ndarray) -> t
     return u, v
 
 
-def _symbol_table(disc: int) -> np.ndarray | None:
-    """chi_disc over one period, read at p mod |disc| (disc = 1, from a square,
-    is the trivial character); None past SEGMENT, where Euler's criterion decides."""
-    if disc == 1:
-        return np.ones(1, dtype=np.int8)
-    return character_table(disc) if abs(disc) <= SEGMENT else None
-
-
 def _scan_segment(
-    delta: int, xs: tuple[int, ...], boundary: tuple[int, ...], tables: tuple[np.ndarray | None, ...], lo: int, hi: int
+    delta: int, xs: tuple[int, ...], boundary: tuple[int, ...], discs: tuple[int, ...], lo: int, hi: int
 ) -> np.ndarray:
     """Members of P in [lo, hi]; standalone so segments can run in worker processes.
 
     The cheap conditions go first: the fixed symbols (delta|p) = 1 and
-    (x^2 - delta|p) = 1 for every x, each by one lookup in its table from
-    _symbol_table (tables runs parallel to delta, then xs) or, where that is
-    None, by Euler's criterion.  On the survivors t -> +-r, r^2 = delta,
-    splits F_p[t]/(t^2 - delta) into F_p x F_p, so (x + t)^((p-1)/2) has
-    first coordinate u = ((x + r|p) + (x - r|p)) / 2, and u = -1 exactly when
-    both symbols are -1: one ring power per generator, with no square root.
+    (x^2 - delta|p) = 1 for every x, each one symbol_column of its
+    discriminant (discs runs parallel to delta, then xs).  On the survivors
+    t -> +-r, r^2 = delta, splits F_p[t]/(t^2 - delta) into F_p x F_p, so
+    (x + t)^((p-1)/2) has first coordinate u = ((x + r|p) + (x - r|p)) / 2,
+    and u = -1 exactly when both symbols are -1: one ring power per
+    generator, with no square root.
     """
     ps = arith.primes_between(lo, hi)
     ps = ps[~np.isin(ps, boundary)]
-    for n, tab in zip((delta,) + tuple(x * x - delta for x in xs), tables):
-        if tab is not None:
-            ps = ps[tab[ps % len(tab)] == 1]
-        else:
-            ps = ps[arith.powmod(_residues(n, ps), (ps - 1) >> 1, ps) == 1]
+    for disc in discs:
+        ps = ps[symbol_column(disc, ps) == 1]
     for x in xs:
-        u, _ = _power_in_k(_residues(x, ps), _residues(delta, ps), (ps - 1) >> 1, ps)
+        u, _ = _power_in_k(arith.residues(x, ps), arith.residues(delta, ps), (ps - 1) >> 1, ps)
         ps = ps[u == ps - 1]
     return ps
 
@@ -167,8 +144,7 @@ class PrimePredicate:
         if bound >= SCAN_LIMIT:
             raise ValueError(f"scan bound {bound} is beyond the exact int64 range (< {SCAN_LIMIT})")
         if bound > self._scanned_to:
-            tables = tuple(_symbol_table(d) for d in self._discs)
-            scan = functools.partial(_scan_segment, self.delta_k, self.xs, tuple(sorted(self.boundary)), tables)
+            scan = functools.partial(_scan_segment, self.delta_k, self.xs, tuple(sorted(self.boundary)), self._discs)
             los = range(self._scanned_to + 1, bound + 1, SEGMENT)
             his = [min(bound, lo + SEGMENT - 1) for lo in los]
             workers = min(shards, os.cpu_count() or 1, len(los))
@@ -380,11 +356,11 @@ def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats
     count 0 and predicted 0.
 
     Reads only the neg strip (row 0) of _fundamental_blocks.  (-a|q) depends on
-    a mod m, m = q (8 for q = 2), so a condition with m <= BLOCK is a periodic
-    bool pattern, built for each block, tiled over it and ANDed into the strip;
-    memory is bounded by BLOCK and sqrt(x) however many primes are listed.  A q
-    with m > BLOCK falls back to kronecker_row on the survivors of the short
-    conditions, the only discriminant values built.
+    a mod m, m = q (8 for q = 2), so a condition with q <= BLOCK is a periodic
+    bool pattern, one kronecker_row over a period built once, tiled and ANDed
+    into each block; memory is bounded by BLOCK and sqrt(x) however many primes
+    are listed.  A q > BLOCK falls back to kronecker_row on the survivors of
+    the short conditions, the only discriminant values built.
     """
     if x < 10**4:
         raise ValueError("x too small for meaningful statistics")
@@ -398,14 +374,12 @@ def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats
     if q_split is not None and q_split in q_inert:
         return WoodStats(0, 0.0, None)
 
-    block = quadfields.BLOCK
-    short = [c for c in conditions if _period(c[0]) <= block]
-    long = [c for c in conditions if _period(c[0]) > block]
+    short = [kronecker_row(-np.arange(8 if q == 2 else q), q) == symbol for q, symbol in conditions if q <= quadfields.BLOCK]
+    long = [(q, symbol) for q, symbol in conditions if q > quadfields.BLOCK]
     count = 0
     for lo, masks in quadfields._fundamental_blocks(x):
         neg = masks[0]
-        for q, symbol in short:
-            allowed = _allowed_residues(q, symbol)
+        for allowed in short:
             m = len(allowed)
             off = lo % m
             neg &= np.tile(allowed, (off + len(neg)) // m + 1)[off : off + len(neg)]
@@ -421,16 +395,6 @@ def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats
     for q, _ in conditions:
         predicted *= q / (2 * q + 2)
     return WoodStats(count, predicted, count / predicted if predicted > 0 else None)
-
-
-def _period(q: int) -> int:
-    return 8 if q == 2 else q
-
-
-def _allowed_residues(q: int, symbol: int) -> np.ndarray:
-    """allowed[a] iff (-a|q) == symbol, over one period 0 <= a < _period(q)."""
-    table = kronecker_table(q)
-    return np.roll(table[::-1], 1) == symbol  # table[(-a) % m] for a = 0, 1, ..., m - 1
 
 
 class RamificationCheck(NamedTuple):

@@ -121,7 +121,8 @@ class RealQuadraticUnit:
     def regulator(self) -> float:
         """log(eps), stable even when a and b have hundreds of digits."""
         # log((a + b*sqrt(d))/2) = log a - log 2 + log1p(b*sqrt(d)/a)
-        ratio_sq = (self.b * self.b * self.d) / (self.a * self.a)  # int / int rounds correctly
+        aa = self.a * self.a  # b^2*d = a^2 - 4*norm (checked above); int / int rounds correctly
+        ratio_sq = (aa - 4 * self.norm) / aa
         return math.log(self.a) - math.log(2) + math.log1p(math.sqrt(ratio_sq))
 
 

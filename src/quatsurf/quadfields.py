@@ -240,6 +240,24 @@ def kronecker_row(discs: np.ndarray, p: int) -> np.ndarray:
     return np.array([arith.kronecker(d, p) for d in discs.tolist()], dtype=np.int8)
 
 
+def symbol_column(disc: int, ps: np.ndarray) -> np.ndarray:
+    """(disc|p) for each prime p of the int64 array ps, as int8, for disc = 1 or a
+    fundamental discriminant; the transpose of kronecker_row, by its rule: a
+    character_table(disc) lookup when the table is no longer than the column,
+    else Euler's criterion (scalar symbols from POWMOD_LIMIT on, p = 2 by table)."""
+    if disc == 1:
+        return np.ones(len(ps), dtype=np.int8)
+    if abs(disc) <= len(ps):
+        return character_table(disc)[ps % abs(disc)]
+    euler = ps < arith.POWMOD_LIMIT
+    qs = ps[euler]
+    col = np.empty(len(ps), dtype=np.int8)
+    col[euler] = (arith.powmod(arith.residues(disc, qs), (qs - 1) >> 1, qs) + 1) % qs - 1
+    col[~euler] = [arith.kronecker(disc, p) for p in ps[~euler].tolist()]
+    col[ps == 2] = kronecker_table(2)[disc % 8]
+    return col
+
+
 def fundamental_masks(x: int):
     """(neg, pos) bool arrays over 0 <= a <= x, filled block by block: neg[a]
     (pos[a]) true iff -a (+a) is a fundamental discriminant."""

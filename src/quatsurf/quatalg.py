@@ -10,15 +10,14 @@ the ramification-recovery procedure reconstructs the split-prime pairing of
 an algebra from the quadratic fields its rational ancestors can contain.
 """
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import arith
 from .errors import BoundsTooSmall, CriterionOutOfScope, EmbeddingUndecidable
-from .quadfields import PrimeOfK, QuadraticField, SplitType, discriminant_blocks, kronecker_row, primes_above, splitting
+from .quadfields import PrimeOfK, QuadraticField, SplitType, discriminant_blocks, kronecker_row, primes_above, splitting, symbol_column
 from .relquad import RelQuadExt, splitting_in_L
 
 
@@ -198,37 +197,41 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
         raise ValueError("algebra is not a base change of a rational algebra")
     need_aux = len(pairing.primes) % 2 == 1
 
-    def primes() -> Iterator[int]:
-        return itertools.takewhile(lambda q: q <= prime_bound, arith.iter_primes())
+    def windows():  # the primes up to prime_bound, one sieve window at a time
+        for lo in range(2, prime_bound + 1, arith.SEGMENT):
+            yield arith.primes_between(lo, min(prime_bound, lo + arith.SEGMENT - 1))
 
-    # one (D|p) row per prime and block: never the whole D x p matrix
-    surviving: list[int] | None = None  # the candidates, once the first admissible block has struck them
+    surviving: np.ndarray | None = None  # the candidates, once the first admissible block has struck them
     admissible = 0
     for discs in discriminant_blocks(d_bound):
         for p in pairing.primes:
             discs = discs[kronecker_row(discs, p) != 1]
         if need_aux:
             aux = np.zeros(len(discs), dtype=bool)
-            for q in primes():
-                if arith.kronecker(b.delta_k, q) != 1:
-                    aux |= kronecker_row(discs, q) != 1
-                    if aux.all():
-                        break
+            for q in (q for qs in windows() for q in qs[symbol_column(b.delta_k, qs) != 1].tolist()):
+                aux |= kronecker_row(discs, q) != 1
+                if aux.all():
+                    break
             discs = discs[aux]
         if len(discs) == 0:
             continue
         admissible += len(discs)
-        # about half the fields split any given p, so scalar symbols on a short head
-        # strike most candidates as the sieve walks them; a row is built only for the few left
-        head = discs[:64].tolist()
-        walk = primes() if surviving is None else surviving
-        surviving = [p for p in walk if not any(arith.kronecker(d, p) == 1 for d in head)]
-        surviving = [p for p in surviving if not (kronecker_row(discs[64:], p) == 1).any()]
+        # never the whole D x p matrix: a (D|p) column per D (each strikes about half) while the candidates
+        # outnumber the D's left or the last run of columns that struck none, then a row per survivor
+        struck = [np.empty(0, dtype=np.int64)]
+        for ps in windows() if surviving is None else [surviving]:
+            i = idle = 0
+            while i < len(discs) and len(ps) > min(idle, len(discs) - i):
+                kept = ps[symbol_column(int(discs[i]), ps) != 1]
+                idle = idle + 1 if len(kept) == len(ps) else 0
+                ps, i = kept, i + 1
+            struck.append(ps[[not (kronecker_row(discs[i:], p) == 1).any() for p in ps.tolist()]])
+        surviving = np.concatenate(struck)
     if admissible == 0:
         aux_bound = f" and auxiliary primes <= {prime_bound}" if need_aux else ""
         raise BoundsTooSmall(f"no admissible quadratic field found with |D| <= {d_bound}{aux_bound}")
     return RecoveredRamification(
-        primes=surviving,
+        primes=surviving.tolist(),
         admissible_field_count=admissible,
         d_bound=d_bound,
         prime_bound=prime_bound,

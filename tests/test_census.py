@@ -108,15 +108,23 @@ class TestMembersScan:
         for pred in preds:
             assert pred.members_up_to(2 * 10**4).tolist() == want[pred], (pred.delta_k, pred.xs)
 
-    def test_character_table_once_per_scan(self, family_n1, monkeypatch):
-        # one table per fixed symbol and scan, however many segments: (delta|p),
-        # then (x^2 - delta|p) by the discriminant of Q(sqrt(x^2 - delta));
-        # none past SEGMENT, where Euler's criterion decides
-        tables = []
-        monkeypatch.setattr(census, "character_table", lambda d: tables.append(d) or quadfields.character_table(d))
+    def test_no_table_longer_than_column(self, family_n1, monkeypatch):
+        # each fixed symbol is one symbol_column per segment: (delta|p), then
+        # (x^2 - delta|p) by the discriminant of Q(sqrt(x^2 - delta)); a character
+        # table is built only when it is no longer than the column of primes
+        columns, tables = [], []
+        column = quadfields.symbol_column
+        monkeypatch.setattr(census, "symbol_column", lambda d, ps: columns.append((d, len(ps))) or column(d, ps))
+        table = quadfields.character_table
+        monkeypatch.setattr(quadfields, "character_table", lambda d: tables.append((d, columns[-1][1])) or table(d))
         PrimePredicate(-4, family_n1.extensions).members_up_to(3 * SEGMENT + 5)
         PrimePredicate(LARGE_DELTAS[0], construct_fields(LARGE_DELTAS[0], 1).extensions).members_up_to(SEGMENT + 5)
-        assert tables == [-4, 5, 262145]
+        assert [d for d, _ in columns] == [-4, 5] * 4 + [LARGE_DELTAS[0], 262145] * 2
+        assert all(abs(d) <= n for d, n in tables)
+        # -4 and 5 take tables in the three full segments, not in the last one of five
+        # integers; |delta| = 1048579 and 262145 are longer than the ~82,000 primes of
+        # a segment, so Euler's criterion decides them
+        assert [d for d, _ in tables] == [-4, 5] * 3
 
     def test_fixed_symbol_discriminants(self):
         # the n = 1 census families: x^2 - delta = 7, 5, 12 give D = 28, 5, 12
@@ -130,10 +138,12 @@ class TestMembersScan:
 
     def test_euler_fallback_and_square_norm(self):
         # x = 2001: x^2 + 4 = 4004005 is its own discriminant, longer than
-        # SEGMENT, so Euler's criterion decides; 1 - (-3) = 4 is a square
+        # any column, so Euler's criterion decides; 1 - (-3) = 4 is a square,
+        # whose symbol is the trivial character
         assert PrimePredicate(-4, [RelQuadExt(-4, 2001)])._discs == (-4, 4004005)
-        assert census._symbol_table(4004005) is None
-        assert census._symbol_table(1).tolist() == [1]
+        ps = arith.primes_up_to(3 * 10**4)
+        assert quadfields.symbol_column(4004005, ps).tolist() == [arith.kronecker(4004005, p) for p in ps.tolist()]
+        assert quadfields.symbol_column(1, ps).tolist() == [1] * len(ps)
         for delta, xs in ((-4, (1, 2001)), (-4, (2001,)), (-3, (1,)), (-3, (1, 2))):
             pred = PrimePredicate(delta, [RelQuadExt(delta, x) for x in xs])
             want = [p for p in arith.primes_up_to(3 * 10**4).tolist() if p not in pred.boundary and prime_in_P_oracle(delta, xs, p)]
@@ -209,8 +219,7 @@ class TestMembersScan:
         primes = [p for p in range(lo + 1, hi + 1, 2) if arith.is_prime(p)]
         for delta, n in ((-4, 2), (LARGE_DELTAS[0], 1)):
             pred = PrimePredicate(delta, construct_fields(delta, n).extensions)
-            tables = tuple(census._symbol_table(d) for d in pred._discs)
-            found = census._scan_segment(delta, pred.xs, tuple(sorted(pred.boundary)), tables, lo, hi)
+            found = census._scan_segment(delta, pred.xs, tuple(sorted(pred.boundary)), pred._discs, lo, hi)
             want = [p for p in primes if p not in pred.boundary and pred.in_P(p)]
             assert len(want) > 100 and found.tolist() == want, delta
 

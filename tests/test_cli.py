@@ -249,6 +249,16 @@ class TestSurfacesDemoCommand:
 
 
 class TestRecoverCommand:
+    def test_reference_outputs_end_to_end(self, capsys):
+        # every recover run the benchmark stores, byte for byte
+        golden = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["outputs"]
+        keys = sorted(key for key in golden if key.startswith("cli recover "))
+        assert len(keys) == 14
+        for key in keys:
+            code, out, _ = run_cli(key.split()[1:], capsys)
+            assert code == 0
+            assert out == golden[key], key
+
     def test_single_pair(self, capsys):
         code, out, _ = run_cli(
             ["recover", "--delta", "-4", "--pairs", "5", "--d-bound", "200", "--p-bound", "100"], capsys

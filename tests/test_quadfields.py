@@ -18,6 +18,7 @@ from quatsurf.quadfields import (
     primes_above,
     split_primes_prefix,
     splitting,
+    symbol_column,
 )
 
 from oracles import fundamental_discs_oracle, quadratic_split_oracle
@@ -178,6 +179,54 @@ class TestKroneckerRows:
             want = [0 if d % p == 0 else (1 if pow(d, (p - 1) // 2, p) == 1 else -1) for d in discs.tolist()]
             row = kronecker_row(discs, p)
             assert row.dtype == np.int8 and row.tolist() == want, p
+
+
+class TestSymbolColumns:
+    # the transpose of a row: (disc|p) down a column of primes, on every branch
+    PRIMES = arith.primes_up_to(3000)
+
+    def scalar(self, disc, ps):
+        return [arith.kronecker(disc, p) for p in ps.tolist()]
+
+    def test_table_branch(self, monkeypatch):
+        tables = []
+        monkeypatch.setattr(quadfields, "character_table", lambda d: tables.append(d) or character_table(d))
+        for disc in (-3, -4, 5, 8, -8, 12, -15, 28, -420, 401):
+            col = symbol_column(disc, self.PRIMES)
+            assert col.dtype == np.int8 and col.tolist() == self.scalar(disc, self.PRIMES), disc
+        assert len(tables) == 10
+
+    def test_euler_branch(self, monkeypatch):
+        # discriminants longer than the column, the column starting at p = 2
+        monkeypatch.setattr(quadfields, "character_table", None)
+        for disc in (-4, 5, -420, 401, 4004005, -1048579, 10**12 + 5 * 10**6 + 1, -(4 * (2**61 - 1))):
+            n = min(len(self.PRIMES), abs(disc) - 1)
+            for ps in (self.PRIMES[:n], self.PRIMES[-n:], self.PRIMES[:1]):
+                assert symbol_column(disc, ps).tolist() == self.scalar(disc, ps), (disc, len(ps))
+
+    def test_two_by_residue_class(self, monkeypatch):
+        monkeypatch.setattr(quadfields, "character_table", None)
+        two = np.array([2], dtype=np.int64)
+        for disc in (-3, -4, 5, -7, 8, -8, 12, 13, 17, -1048579):
+            assert symbol_column(disc, two).tolist() == [arith.kronecker(disc, 2)], disc
+
+    def test_scalar_past_powmod_limit(self):
+        big = np.array([p for p in range(arith.POWMOD_LIMIT - 200, arith.POWMOD_LIMIT + 400) if arith.is_prime(p)], dtype=np.int64)
+        ps = np.concatenate([self.PRIMES[:3], big])
+        assert (big < arith.POWMOD_LIMIT).any() and (big >= arith.POWMOD_LIMIT).any()
+        for disc in (-4, 5, 4004005, -1048579):
+            assert symbol_column(disc, ps).tolist() == self.scalar(disc, ps), disc
+
+    def test_trivial_character(self):
+        assert symbol_column(1, self.PRIMES).tolist() == [1] * len(self.PRIMES)
+        assert symbol_column(1, self.PRIMES[:0]).tolist() == []
+
+    def test_transpose_of_rows(self):
+        discs = np.concatenate(list(discriminant_blocks(300)))
+        ps = self.PRIMES[:40]
+        matrix = np.array([kronecker_row(discs, p) for p in ps.tolist()])
+        for j, disc in enumerate(discs.tolist()):
+            assert symbol_column(disc, ps).tolist() == matrix[:, j].tolist(), disc
 
 
 class TestCharacterTable:

@@ -1,9 +1,10 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatsurf import quadfields
+from quatsurf import arith, quadfields, quatalg
 from quatsurf.errors import BoundsTooSmall, EmbeddingUndecidable
 from quatsurf.quadfields import PrimeOfK, QuadraticField, SplitType, primes_above, splitting
 from quatsurf.quatalg import (
@@ -215,6 +216,27 @@ class TestRecoverRamification:
             tracemalloc.stop()
         assert got.primes == [5, 13]
         assert peak < 6 * 2**20, peak
+
+    def test_no_scalar_symbols(self, monkeypatch):
+        # every symbol of the walk is a numpy row or column: no scalar arith.kronecker
+        # per (candidate, field), as a head of scalar symbols once took
+        algebras = [pair_algebra(-4, [5, 13]), pair_algebra(-4, [5, 13, 17])]
+        calls = []
+        kronecker = arith.kronecker
+        monkeypatch.setattr(arith, "kronecker", lambda a, n: calls.append((a, n)) or kronecker(a, n))
+        got = [recover_ramification(b, 200, 10**6) for b in algebras]
+        assert calls == []
+        assert (got[0].primes, got[0].admissible_field_count) == ([5, 13], 36)
+        assert (got[1].primes, got[1].admissible_field_count) == ([5, 13, 17, 254777], 18)
+
+    def test_rows_after_idle_columns(self, monkeypatch):
+        # a repeated -3 strikes nothing after its first column, so the walk turns to
+        # rows of the fields left before it reaches 5 and -7, which must still strike
+        for tail in ([5], [5, -7]):
+            discs = np.array([-3] * 15 + tail + [-3] * 20, dtype=np.int64)
+            monkeypatch.setattr(quatalg, "discriminant_blocks", lambda x: iter([discs]))
+            want = [p for p in arith.primes_up_to(100).tolist() if all(arith.kronecker(d, p) != 1 for d in discs.tolist())]
+            assert recover_ramification(QuatAlgK(-4, frozenset()), 100, 100).primes == want, tail
 
     def test_starved_bounds(self):
         with pytest.raises(BoundsTooSmall):
