@@ -196,16 +196,53 @@ def discriminant_blocks(x: int, sign: str = "both") -> Iterator[np.ndarray]:
         yield discs
 
 
+CHI_BLOCK = 1 << 16
+"""Residues per block of the character walks: kronecker_table's squares and character_blocks."""
+
+
 def kronecker_table(p: int) -> np.ndarray:
     """(D|p) over the residues of D mod p (mod 8 for p = 2), as int8, for a
     prime p: 1 where p splits in Q(sqrt(D)), -1 where it is inert, 0 where it
-    ramifies (for p = 2 only the discriminant classes 0, 1, 4, 5 mod 8 occur)."""
+    ramifies (for p = 2 only the discriminant classes 0, 1, 4, 5 mod 8 occur).
+    The squares x^2 mod p, x <= p/2, are struck CHI_BLOCK at a time, so memory
+    is the p-byte table plus one block (x^2 stays in int64 for p < 6 * 10^9)."""
     if p == 2:
         return np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
     table = np.full(p, -1, dtype=np.int8)
-    table[np.arange((p + 1) // 2, dtype=np.int64) ** 2 % p] = 1
+    half = (p + 1) // 2
+    for lo in range(0, half, CHI_BLOCK):
+        x = np.arange(lo, min(half, lo + CHI_BLOCK), dtype=np.int64)
+        table[x * x % p] = 1
     table[0] = 0
     return table
+
+
+def _character_parts(delta: int) -> list[np.ndarray]:
+    """The periodic int8 tables whose product is chi_delta: chi_-4, chi_8 or
+    chi_-8 (period 4 or 8) for the 2-part, then kronecker_table(p) for each odd
+    p | delta.  Memory is the tables, at most |delta| bytes in all."""
+    if not is_fundamental_discriminant(delta):
+        raise ValueError(f"{delta} is not a fundamental discriminant")
+    q = abs(delta)
+    twos = (q & -q).bit_length() - 1
+    parts = []
+    if twos == 2:
+        parts.append(np.array([0, 1, 0, -1], dtype=np.int8))  # chi_-4
+    elif twos == 3:  # chi_8 when delta/8 = 1 (mod 4), else chi_-8
+        parts.append(np.array([0, 1, 0, -1, 0, -1, 0, 1] if (delta >> 3) % 4 == 1 else [0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8))
+    return parts + [kronecker_table(p) for p in arith.factorize(q >> twos)]
+
+
+def _character_window(parts: list[np.ndarray], lo: int, n: int) -> np.ndarray:
+    """chi(lo + i) for 0 <= i < n, as int8, from the period tables of
+    _character_parts: each table is rotated to start at lo mod its period
+    (cut to n when the period is longer) and tiled, so no index array is formed."""
+    chi = np.ones(n, dtype=np.int8)
+    for t in parts:
+        s = lo % len(t)
+        rotated = np.concatenate((t[s : s + n], t[: min(s, max(0, s + n - len(t)))]))
+        chi *= np.tile(rotated, -(-n // len(rotated)))[:n]
+    return chi
 
 
 def character_table(delta: int) -> np.ndarray:
@@ -213,20 +250,20 @@ def character_table(delta: int) -> np.ndarray:
     discriminant delta: the product of the prime-discriminant characters, one
     period of kronecker_table(p) for each odd p | delta, times chi_-4, chi_8 or
     chi_-8 on n mod 8 for the 2-part.  O(|delta| * omega(delta)) work."""
-    if not is_fundamental_discriminant(delta):
-        raise ValueError(f"{delta} is not a fundamental discriminant")
+    return _character_window(_character_parts(delta), 0, abs(delta))
+
+
+def character_blocks(delta: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(a, chi_delta(a)) over the residues 1 <= a < |delta| with chi_delta(a) != 0,
+    as int64 and int8 arrays, one block of CHI_BLOCK residues at a time: the
+    same tables as character_table, read block by block.  Memory is the
+    tables (the largest prime factor's dominates) plus one block."""
+    parts = _character_parts(delta)
     q = abs(delta)
-    twos = (q & -q).bit_length() - 1
-    if twos == 2:
-        two_part = [0, 1, 0, -1]  # chi_-4
-    elif twos == 3:  # chi_8 when delta/8 = 1 (mod 4), else chi_-8
-        two_part = [0, 1, 0, -1, 0, -1, 0, 1] if (delta >> 3) % 4 == 1 else [0, 1, 0, 1, 0, -1, 0, -1]
-    else:
-        two_part = [1]
-    chi = np.tile(np.array(two_part, dtype=np.int8), q // len(two_part))
-    for p in arith.factorize(q >> twos):
-        chi *= np.tile(kronecker_table(p), q // p)
-    return chi
+    for lo in range(1, q, CHI_BLOCK):
+        chi = _character_window(parts, lo, min(CHI_BLOCK, q - lo))
+        a = np.flatnonzero(chi)
+        yield a + lo, chi[a]
 
 
 def kronecker_row(discs: np.ndarray, p: int) -> np.ndarray:

@@ -190,7 +190,9 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
     nonsplit in L always contains the pairing, and shrinks to it as the
     bounds grow; the truncation at (d_bound, prime_bound) is the caller's.
     Memory is one block of discriminants, one sieve window and the surviving
-    primes: the candidates up to prime_bound are walked, never listed.
+    primes: the candidates up to prime_bound are walked, never listed.  The
+    auxiliary primes are one ascending list kept across blocks and sieved
+    only as far as some block has needed them.
     """
     pairing = fuchsian_admissible(b)
     if not pairing:
@@ -201,6 +203,17 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
         for lo in range(2, prime_bound + 1, arith.SEGMENT):
             yield arith.primes_between(lo, min(prime_bound, lo + arith.SEGMENT - 1))
 
+    nonsplit: list[np.ndarray] = []  # the primes <= prime_bound nonsplit in k, one array per sieve window, kept across blocks
+    unsieved = windows()
+
+    def aux_primes():  # the nonsplit primes ascending; the next window is sieved only when a block reads past the last
+        j = 0
+        while j < len(nonsplit) or (qs := next(unsieved, None)) is not None:
+            if j == len(nonsplit):
+                nonsplit.append(qs[symbol_column(b.delta_k, qs) != 1])
+            yield from map(int, nonsplit[j])
+            j += 1
+
     surviving: np.ndarray | None = None  # the candidates, once the first admissible block has struck them
     admissible = 0
     for discs in discriminant_blocks(d_bound):
@@ -208,7 +221,7 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
             discs = discs[kronecker_row(discs, p) != 1]
         if need_aux:
             aux = np.zeros(len(discs), dtype=bool)
-            for q in (q for qs in windows() for q in qs[symbol_column(b.delta_k, qs) != 1].tolist()):
+            for q in aux_primes():
                 aux |= kronecker_row(discs, q) != 1
                 if aux.all():
                     break

@@ -4,9 +4,11 @@ The Dedekind zeta of an imaginary quadratic field factors as
 zeta(s) * L(s, chi_delta), and at s = 2 the zeta(2) = pi^2/6 cancels the
 4*pi^2 of the covolume formula, so every covolume here is an exact rational
 times sqrt|delta| times one L-value.  That L-value is a sum over one period of
-the character (quadfields.character_table) of trigamma values, each a few
-shifted terms plus an asymptotic series whose remainder bound proves the
-requested tolerance; time and memory are O(|delta|) whatever the tolerance.
+the character of trigamma values, each a few shifted terms plus an
+asymptotic series whose remainder bound proves the requested tolerance.  The
+period is walked block by block (quadfields.character_blocks): time is
+O(|delta| * (K + J)) and memory one int8 table of the largest prime factor
+of delta plus one block, for |delta| up to MAX_ABS_DELTA.
 Coareas of the rational (Fuchsian) groups are exact rational multiples of pi.
 """
 
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quadfields import character_table, is_fundamental_discriminant
+from .quadfields import character_blocks, is_fundamental_discriminant
 from .quatalg import QuatAlgK, QuatAlgQ
 
 
@@ -28,6 +30,9 @@ _BERNOULLI = (
 
 MIN_TOL = 1e-15
 """Smallest tol dirichlet_L2 accepts: float64 cannot resolve an L-value near 1 more finely."""
+
+MAX_ABS_DELTA = 1 << 30
+"""Largest |delta| dirichlet_L2 accepts: the int8 table of a prime factor this large takes 1 GiB."""
 
 
 def _tail_plan(q: int, tol: float) -> tuple[int, int]:
@@ -64,26 +69,33 @@ def dirichlet_L2(delta: int, tol: float = 1e-10) -> float:
     that series is enveloping: the error is at most the first omitted term,
     so over the < q residues the truncation error is at most
     |B_(2J+2)| / (q * K^(2J+3)); K and J are the smallest that bring it to tol.
-    Time is O(q * (K + J)) and memory O(q) whatever tol is; rounding adds a
-    few ulps on top.  For delta = -4 this is Catalan's constant.
+    The residues are summed one block of quadfields.CHI_BLOCK at a time, so
+    time is O(q * (K + J)) and memory one int8 kronecker_table of the largest
+    prime factor of delta plus one block, whatever tol is; rounding adds a
+    few ulps on top.  |delta| above MAX_ABS_DELTA = 2^30, where that table
+    reaches 1 GiB, is refused with ValueError before anything is allocated
+    or factored.  For delta = -4 this is Catalan's constant.
     """
+    if not abs(delta) <= MAX_ABS_DELTA:
+        raise ValueError(f"|delta| must be at most 2^30, got {delta}")
     if not is_fundamental_discriminant(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
     if not tol >= MIN_TOL:
         raise ValueError(f"tol must be at least {MIN_TOL}")
     q = abs(delta)
-    chi = character_table(delta)
-    a = np.flatnonzero(chi)
     K, J = _tail_plan(q, tol)
-    z = a / q
-    z += K
-    s = _trigamma_series(z, J)
-    s /= q * q
-    w = z  # reused as scratch for the shifted terms
-    for k in range(K):
-        np.square(a + k * q, out=w, dtype=np.float64)
-        s += np.reciprocal(w, out=w)
-    return float(np.sum(s * chi[a]))
+    total = 0.0
+    for a, chi in character_blocks(delta):
+        z = a / q
+        z += K
+        s = _trigamma_series(z, J)
+        s /= q * q
+        w = z  # reused as scratch for the shifted terms
+        for k in range(K):
+            np.square(a + k * q, out=w, dtype=np.float64)
+            s += np.reciprocal(w, out=w)
+        total += float(np.sum(s * chi))
+    return total
 
 
 @dataclass(frozen=True)

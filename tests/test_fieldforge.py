@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from quatsurf import arith
-from quatsurf.errors import SearchCapExceeded
+from quatsurf import arith, cli, fieldforge
+from quatsurf.errors import SearchCapExceeded, VerificationError
 from quatsurf.fieldforge import construct_fields, find_xi, hensel_sqrt
 
 
@@ -52,6 +52,16 @@ def test_verification_survives_optimize(name):
     res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["VerificationError", "1"]
+
+
+def test_norm_divisibility_certificate_fires(monkeypatch, capsys):
+    # x_1 + 1 = 2 for delta = -4, p = 5: the norm 2^2 + 4 = 8 is prime to 5
+    monkeypatch.setattr(fieldforge, "find_xi", lambda *args: (choice := find_xi(*args))._replace(x=choice.x + 1))
+    with pytest.raises(VerificationError, match="not exactly divisible by 5"):
+        construct_fields(-4, 1)
+    assert cli.main(["construct-fields", "--delta", "-4", "--n", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "norm of beta_1 not exactly divisible" in err
 
 
 class TestFindXi:

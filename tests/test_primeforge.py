@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from quatsurf.errors import SearchCapExceeded
+from quatsurf import cli, primeforge
+from quatsurf.errors import SearchCapExceeded, VerificationError
 from quatsurf.primeforge import nth_prime_in_ap, select_q_primes, verify_splitting_matrix
 from quatsurf.quadfields import SplitType
 
@@ -63,6 +64,16 @@ class TestSelectQPrimes:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             select_q_primes(0)
+
+    def test_collision_certificate_fires(self, monkeypatch, capsys):
+        # a Legendre test that also accepts q equal to some p: q_2 = 5 = p_1 collides
+        row_ok = primeforge._legendre_row_ok
+        monkeypatch.setattr(primeforge, "_legendre_row_ok", lambda q, ps, inert: q in ps or row_ok(q, ps, inert))
+        with pytest.raises(VerificationError, match="collide"):
+            select_q_primes(1)
+        assert cli.main(["surfaces-demo", "--n", "1", "--disc-bound", "1e4"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "selected primes collide" in err
 
 
 class TestVerifySplittingMatrix:

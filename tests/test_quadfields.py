@@ -8,6 +8,7 @@ from quatsurf import arith, quadfields
 from quatsurf.quadfields import (
     QuadraticField,
     SplitType,
+    character_blocks,
     character_table,
     count_fundamental_discriminants,
     discriminant_blocks,
@@ -15,6 +16,7 @@ from quatsurf.quadfields import (
     fundamental_masks,
     is_fundamental_discriminant,
     kronecker_row,
+    kronecker_table,
     primes_above,
     split_primes_prefix,
     splitting,
@@ -240,3 +242,26 @@ class TestCharacterTable:
         for d in (0, 1, -1, 9, -12, 20, -16):
             with pytest.raises(ValueError):
                 character_table(d)
+
+    def test_blocks_cross_edges(self, monkeypatch):
+        # every 2-part class, |d| around the edges of 64-residue blocks, against scalar symbols
+        monkeypatch.setattr(quadfields, "CHI_BLOCK", 64)
+        for d in (-3, -4, 5, 8, -8, 65, -67, -131, 129, 133, -132, 140, 136, 152, -136, -152, -1155):
+            a, chi = (np.concatenate(x) for x in zip(*character_blocks(d)))
+            want = [(n, s) for n in range(1, abs(d)) if (s := arith.kronecker(d, n))]
+            assert a.dtype == np.int64 and chi.dtype == np.int8, d
+            assert list(zip(a.tolist(), chi.tolist())) == want, d
+        with pytest.raises(ValueError):
+            next(character_blocks(-12))
+
+
+class TestKroneckerTable:
+    def test_squares_struck_in_blocks(self, monkeypatch):
+        # (p + 1)/2 squares, 64 per block: p = 127 fills one block, 131 and 257 spill into the next
+        monkeypatch.setattr(quadfields, "CHI_BLOCK", 64)
+        for p in (3, 113, 127, 131, 137, 251, 257, 263, 1031):
+            squares = {x * x % p for x in range(1, p)}
+            table = kronecker_table(p)
+            assert table.dtype == np.int8, p
+            assert table.tolist() == [0] + [1 if r in squares else -1 for r in range(1, p)], p
+        assert kronecker_table(2).tolist() == [0, 1, 0, -1, 0, -1, 0, 1]

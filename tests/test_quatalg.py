@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -216,6 +217,23 @@ class TestRecoverRamification:
             tracemalloc.stop()
         assert got.primes == [5, 13]
         assert peak < 6 * 2**20, peak
+
+    def test_aux_primes_sieved_once(self, monkeypatch):
+        # an odd pairing over many discriminant blocks: the auxiliary primes nonsplit in k
+        # are one list kept across blocks, extended window by window, so each sieve window
+        # is sieved at most twice (for that list and for the candidates), not once per block
+        monkeypatch.setattr(quadfields, "BLOCK", 64)
+        monkeypatch.setattr(arith, "SEGMENT", 16)
+        sieve, calls = arith.primes_between, []
+        monkeypatch.setattr(arith, "primes_up_to", lambda n: sieve(2, n))  # base primes, not counted
+        monkeypatch.setattr(arith, "primes_between", lambda lo, hi: calls.append((lo, hi)) or sieve(lo, hi))
+        for delta, pairing, db, pb in ((-7, [11], 300, 60), (-4, [5], 500, 60), (-4, [5, 13, 17], 400, 100)):
+            calls.clear()
+            got = recover_ramification(pair_algebra(delta, pairing), db, pb)
+            assert (set(got.primes), got.admissible_field_count) == recover_oracle(delta, pairing, db, pb)
+            windows = {(lo, min(pb, lo + 15)) for lo in range(2, pb + 1, 16)}
+            assert set(calls) <= windows and max(Counter(calls).values()) <= 2, (delta, pairing, calls)
+            assert (2, 17) in calls, (delta, pairing)
 
     def test_no_scalar_symbols(self, monkeypatch):
         # every symbol of the walk is a numpy row or column: no scalar arith.kronecker

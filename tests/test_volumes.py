@@ -2,16 +2,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quatsurf import volumes
+from quatsurf import arith, quadfields, volumes
 from quatsurf.quadfields import QuadraticField, fundamental_discriminants, primes_above
 from quatsurf.quatalg import QuatAlgK, QuatAlgQ
-from quatsurf.volumes import MIN_TOL, count_scaling, dirichlet_L2, fuchsian_coarea, kleinian_covolume
+from quatsurf.volumes import MAX_ABS_DELTA, MIN_TOL, count_scaling, dirichlet_L2, fuchsian_coarea, kleinian_covolume
 
 from oracles import catalan_oracle, dirichlet_L2_oracle
 
@@ -72,8 +73,9 @@ class TestDirichletL2:
 
     def test_memory_flat_in_tol(self):
         # summing the Dirichlet series itself takes ~sqrt(1/tol) terms, about
-        # 3.9e8 here (2.9 GiB per float64 array); the period sum stays O(|delta|)
-        # under a 1 GiB address-space cap
+        # 3.9e8 here (2.9 GiB per float64 array); the period sum, one int8 table
+        # of the largest prime factor plus one block, stays under a 1 GiB
+        # address-space cap
         code = (
             "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from quatsurf.volumes import dirichlet_L2\n"
@@ -85,6 +87,41 @@ class TestDirichletL2:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert float(run.stdout) <= 1e-10
+
+
+    # every 2-part class with |delta| just past an edge of 64-residue blocks (129 fills
+    # two blocks exactly): odd (-131, 129, 133), -4m (-132), +4m (140), +8m (136, 152), -8m (-136, -152)
+    @pytest.mark.parametrize("delta", [-131, 129, 133, -132, 140, 136, 152, -136, -152])
+    def test_blocks_crossed(self, monkeypatch, delta):
+        monkeypatch.setattr(quadfields, "CHI_BLOCK", 64)
+        assert abs(dirichlet_L2(delta, 1e-10) - dirichlet_L2_oracle(delta)) <= 1e-10
+
+    def test_memory_is_one_table_and_one_block(self):
+        # whole-period arrays took ~39 bytes per unit of |delta|, about 38 MiB here;
+        # the blocked sum holds the 1 MB kronecker_table(1000007) and one block
+        tracemalloc.start()
+        try:
+            got = dirichlet_L2(-1000007)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(got - 1.4188481402565414) <= 1e-12
+        assert peak < 6 * 2**20, peak
+
+    def test_cap_refused_before_any_work(self, monkeypatch):
+        def factorize(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(arith, "factorize", factorize)
+        tracemalloc.start()
+        try:
+            for delta in (-(MAX_ABS_DELTA + 3), MAX_ABS_DELTA + 1, -4 * (2**28 + 1), -(10**18 + 3)):
+                with pytest.raises(ValueError, match=r"at most 2\^30"):
+                    dirichlet_L2(delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, peak
 
 
 class TestKleinianCovolume:
