@@ -27,7 +27,7 @@ import numpy as np
 
 from . import arith, quadfields
 from .errors import BoundaryPrimeError, VerificationError
-from .quadfields import QuadraticField, kronecker_row, primes_above, symbol_column
+from .quadfields import QuadraticField, kronecker_row, periodic_window, primes_above, symbol_column
 from .quatalg import QuatAlgK, embeds, fuchsian_admissible
 from .relquad import RelQuadExt
 
@@ -355,12 +355,12 @@ def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats
     1/(ell+1).  Contradictory constraints (one prime on both sides) give
     count 0 and predicted 0.
 
-    Reads only the neg strip (row 0) of _fundamental_blocks.  (-a|q) depends on
-    a mod m, m = q (8 for q = 2), so a condition with q <= BLOCK is a periodic
-    bool pattern, one kronecker_row over a period built once, tiled and ANDed
-    into each block; memory is bounded by BLOCK and sqrt(x) however many primes
-    are listed.  A q > BLOCK falls back to kronecker_row on the survivors of
-    the short conditions, the only discriminant values built.
+    Reads the imaginary row of _fundamental_blocks.  (-a|q) depends on a mod m,
+    m = q (8 for q = 2), so a condition with q <= BLOCK is a periodic 0/1 int8
+    pattern, one kronecker_row over a period built once; periodic_window ANDs
+    the patterns over each block, so memory is bounded by BLOCK and sqrt(x)
+    however many primes are listed.  A q > BLOCK falls back to kronecker_row on
+    the survivors of the short conditions, the only discriminant values built.
     """
     if x < 10**4:
         raise ValueError("x too small for meaningful statistics")
@@ -374,15 +374,11 @@ def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats
     if q_split is not None and q_split in q_inert:
         return WoodStats(0, 0.0, None)
 
-    short = [kronecker_row(-np.arange(8 if q == 2 else q), q) == symbol for q, symbol in conditions if q <= quadfields.BLOCK]
+    short = [(kronecker_row(-np.arange(8 if q == 2 else q), q) == symbol).astype(np.int8) for q, symbol in conditions if q <= quadfields.BLOCK]
     long = [(q, symbol) for q, symbol in conditions if q > quadfields.BLOCK]
     count = 0
-    for lo, masks in quadfields._fundamental_blocks(x):
-        neg = masks[0]
-        for allowed in short:
-            m = len(allowed)
-            off = lo % m
-            neg &= np.tile(allowed, (off + len(neg)) // m + 1)[off : off + len(neg)]
+    for lo, (neg,) in quadfields._fundamental_blocks(x, "imaginary"):
+        neg &= periodic_window(short, lo, len(neg)).view(bool)  # 0/1 int8 reads as bool
         if long:
             discs = -(lo + np.flatnonzero(neg))
             for q, symbol in long:
@@ -409,7 +405,7 @@ def ramification_probability_check(ell: int, x: int) -> RamificationCheck:
 
     Divisibility by ell is exactly ramification of ell; across the family of
     quadratic fields (both signatures) the fraction converges to 1/(ell+1).
-    Reads both strips of _fundamental_blocks: ell | delta = +-a is the column
+    Reads both rows of _fundamental_blocks: ell | delta = +-a is the column
     slice masks[:, (-lo) % ell :: ell] of a block starting at a = lo, for any
     ell, so no discriminant values and no kronecker_row are needed.
     """

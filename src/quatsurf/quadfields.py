@@ -144,12 +144,21 @@ def split_primes_prefix(k: QuadraticField, n: int) -> SplitPrimePrefix:
 
 
 BLOCK = 1 << 20
-"""Values of |D| per block of the discriminant engine (two 1 MB bool strips)."""
+"""Values of |D| per block of the discriminant engine (one 1 MB bool strip)."""
+
+_SIGN_CLASSES = {-1: ((4, 3), (16, 4), (16, 8)), 1: ((4, 1), (16, 8), (16, 12))}
+"""The (modulus, residue) classes of a = |D| for which D = -a (D = +a) is fundamental
+when a has no odd square factor: D = +-a = 1 (mod 4), or D = 4m with m = 2, 3 (mod 4)
+(Cohen, GTM 138, section 5.1)."""
+
+_SIGNS = {"imaginary": (-1,), "real": (1,), "both": (-1, 1)}
+"""The signs of the rows of _fundamental_blocks for each sign selection."""
 
 
 def _squarefree_strip(lo: int, hi: int, small: list[int], large: np.ndarray) -> np.ndarray:
-    """t[i] true iff lo + i is squarefree (1 <= lo); small and large hold the prime
-    squares up to hi, split at BLOCK, so each large one strikes at most once."""
+    """t[i] true iff no square of small or large divides lo + i (1 <= lo); small and
+    large hold the prime squares to strike, split at BLOCK, so each large one
+    strikes at most once."""
     t = np.ones(hi - lo + 1, dtype=bool)
     for q in small:
         t[(-lo) % q :: q] = False
@@ -158,28 +167,22 @@ def _squarefree_strip(lo: int, hi: int, small: list[int], large: np.ndarray) -> 
     return t
 
 
-def _fundamental_blocks(x: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(lo, masks) per block of BLOCK values a = lo, lo + 1, ... of 3 <= a <= x:
-    masks[0, i] (masks[1, i]) true iff -(lo + i) (+(lo + i)) is fundamental.
-    Both strips are filled; callers read the rows they need.  Memory is one
-    block of both strips plus the prime squares up to x."""
-    squares = arith.primes_up_to(math.isqrt(max(x, 0))) ** 2
+def _fundamental_blocks(x: int, sign: str = "both") -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, masks) per block of BLOCK values a = lo, lo + 1, ... of 3 <= a <= x, one
+    row per sign of _SIGNS[sign]: masks[j, i] true iff _SIGNS[sign][j] * (lo + i) is
+    fundamental.  One strip per block marks the a free of odd prime squares, and
+    each row copies it on the three _SIGN_CLASSES of its sign.  Memory is one block
+    of the strip and the rows plus the odd prime squares up to x."""
+    if sign not in _SIGNS:
+        raise ValueError(f"bad sign {sign!r}")
+    squares = arith.primes_up_to(math.isqrt(max(x, 0)))[1:] ** 2
     small, large = [int(q) for q in squares[squares <= BLOCK]], squares[squares > BLOCK]
     for lo in range(3, x + 1, BLOCK):
-        hi = min(x, lo + BLOCK - 1)
-        sf = _squarefree_strip(lo, hi, small, large)
-        masks = np.zeros((2, len(sf)), dtype=bool)
-        neg, pos = masks
-        # D = -a with a = 3 (mod 4), D = +a with a = 1 (mod 4), a squarefree
-        for mask, r in ((neg, 3), (pos, 1)):
-            mask[(r - lo) % 4 :: 4] = sf[(r - lo) % 4 :: 4]
-        # D = -4m with m = 1, 2 (mod 4), D = +4m with m = 2, 3 (mod 4), m squarefree
-        mlo, mhi = -(-lo // 4), hi // 4
-        sfm = _squarefree_strip(mlo, mhi, small, large)
-        for r, rows in ((1, (neg,)), (2, (neg, pos)), (3, (pos,))):
-            j = (r - mlo) % 4
-            for mask in rows:
-                mask[4 * (mlo + j) - lo :: 16] = sfm[j::4]
+        sf = _squarefree_strip(lo, min(x, lo + BLOCK - 1), small, large)
+        masks = np.zeros((len(_SIGNS[sign]), len(sf)), dtype=bool)
+        for mask, s in zip(masks, _SIGNS[sign]):
+            for m, r in _SIGN_CLASSES[s]:
+                mask[(r - lo) % m :: m] = sf[(r - lo) % m :: m]
         yield lo, masks
 
 
@@ -187,13 +190,9 @@ def discriminant_blocks(x: int, sign: str = "both") -> Iterator[np.ndarray]:
     """The fundamental discriminants with |D| <= x as int64 arrays, one per
     block of BLOCK values of |D|; concatenated they run in ascending |D|, the
     negative one first.  Memory is bounded by BLOCK and sqrt(x)."""
-    if sign not in ("imaginary", "real", "both"):
-        raise ValueError(f"bad sign {sign!r}")
-    for lo, (neg, pos) in _fundamental_blocks(x):
-        k = np.flatnonzero(np.stack((neg & (sign != "real"), pos & (sign != "imaginary")), axis=1).ravel())
-        discs = lo + (k >> 1)
-        discs[(k & 1) == 0] *= -1
-        yield discs
+    for lo, masks in _fundamental_blocks(x, sign):
+        i, row = np.nonzero(masks.T)  # ascending i, the rows of each i in sign order
+        yield (lo + i) * np.array(_SIGNS[sign])[row]
 
 
 CHI_BLOCK = 1 << 16
@@ -233,10 +232,11 @@ def _character_parts(delta: int) -> list[np.ndarray]:
     return parts + [kronecker_table(p) for p in arith.factorize(q >> twos)]
 
 
-def _character_window(parts: list[np.ndarray], lo: int, n: int) -> np.ndarray:
-    """chi(lo + i) for 0 <= i < n, as int8, from the period tables of
-    _character_parts: each table is rotated to start at lo mod its period
-    (cut to n when the period is longer) and tiled, so no index array is formed."""
+def periodic_window(parts: list[np.ndarray], lo: int, n: int) -> np.ndarray:
+    """prod_t t[(lo + i) mod len(t)] over the int8 tables t of parts, for 0 <= i < n,
+    as int8 (all ones for no tables): each table is rotated to start at lo mod its
+    period (cut to n when the period is longer) and tiled, so no index array is
+    formed.  Characters multiply their +-1/0 tables; 0/1 tables multiply to an AND."""
     chi = np.ones(n, dtype=np.int8)
     for t in parts:
         s = lo % len(t)
@@ -250,7 +250,7 @@ def character_table(delta: int) -> np.ndarray:
     discriminant delta: the product of the prime-discriminant characters, one
     period of kronecker_table(p) for each odd p | delta, times chi_-4, chi_8 or
     chi_-8 on n mod 8 for the 2-part.  O(|delta| * omega(delta)) work."""
-    return _character_window(_character_parts(delta), 0, abs(delta))
+    return periodic_window(_character_parts(delta), 0, abs(delta))
 
 
 def character_blocks(delta: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -261,7 +261,7 @@ def character_blocks(delta: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     parts = _character_parts(delta)
     q = abs(delta)
     for lo in range(1, q, CHI_BLOCK):
-        chi = _character_window(parts, lo, min(CHI_BLOCK, q - lo))
+        chi = periodic_window(parts, lo, min(CHI_BLOCK, q - lo))
         a = np.flatnonzero(chi)
         yield a + lo, chi[a]
 
@@ -313,9 +313,6 @@ def fundamental_discriminants(x: int, sign: str = "both") -> Iterator[int]:
 
 def count_fundamental_discriminants(x: int, sign: str = "both") -> int:
     """Count of fundamental discriminants with |delta| <= x (density 6/pi^2 for both signs):
-    count_nonzero over the rows of _fundamental_blocks that sign selects (row 0
-    imaginary, row 1 real), with no discriminant values built."""
-    rows = {"imaginary": slice(0, 1), "real": slice(1, 2), "both": slice(0, 2)}.get(sign)
-    if rows is None:
-        raise ValueError(f"bad sign {sign!r}")
-    return sum(int(np.count_nonzero(masks[rows])) for _, masks in _fundamental_blocks(x))
+    count_nonzero over the rows of _fundamental_blocks(x, sign), with no
+    discriminant values built."""
+    return sum(int(np.count_nonzero(masks)) for _, masks in _fundamental_blocks(x, sign))

@@ -220,12 +220,14 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
         for p in pairing.primes:
             discs = discs[kronecker_row(discs, p) != 1]
         if need_aux:
-            aux = np.zeros(len(discs), dtype=bool)
+            pending = np.arange(len(discs))  # the fields every auxiliary prime so far splits in
             for q in aux_primes():
-                aux |= kronecker_row(discs, q) != 1
-                if aux.all():
+                pending = pending[kronecker_row(discs[pending], q) == 1]
+                if len(pending) == 0:
                     break
-            discs = discs[aux]
+            kept = np.ones(len(discs), dtype=bool)
+            kept[pending] = False
+            discs = discs[kept]
         if len(discs) == 0:
             continue
         admissible += len(discs)

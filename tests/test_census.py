@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quatsurf import arith, census, quadfields
+from quatsurf import arith, census, cli, quadfields
 from quatsurf.census import (
     SCAN_LIMIT,
     SEGMENT,
@@ -16,7 +16,7 @@ from quatsurf.census import (
     squarefree_values,
     wood_stats,
 )
-from quatsurf.errors import BoundaryPrimeError
+from quatsurf.errors import BoundaryPrimeError, VerificationError
 from quatsurf.fieldforge import construct_fields
 from quatsurf.quadfields import QuadraticField, SplitType, fundamental_discriminants, splitting
 from quatsurf.quatalg import embeds, fuchsian_admissible, is_isomorphic
@@ -335,6 +335,22 @@ class TestAlgebraCensus:
     def test_predicate_mismatch_rejected(self, family_n1):
         with pytest.raises(ValueError):
             algebra_census(-4, [], 100, pred=PrimePredicate(-4, family_n1.extensions))
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            (21, "is not admissible"),  # 3 and 7 are inert in Q(i): no conjugate pairs to ramify at
+            (13, "rejects an extension"),  # 13 splits in Q(i) but not in P: x_1 = 1 is a square at a prime above it
+        ],
+    )
+    def test_certificates_fire(self, family_n1, monkeypatch, capsys, d, message):
+        # the squarefree values are the producer one step upstream: let a d off P through
+        monkeypatch.setattr(census, "squarefree_values", lambda pred, bound: [d])
+        with pytest.raises(VerificationError, match=message):
+            algebra_census(-4, family_n1.extensions, 10**4)
+        assert cli.main(["census", "--delta", "-4", "--n", "1", "--x", "1e4"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"census algebra for d={d} {message}" in err
 
 
 class TestWoodStats:

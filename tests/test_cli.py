@@ -215,6 +215,21 @@ class TestSurfacesDemoCommand:
         for (i, j), val in emb.items():
             assert val == ("true" if i == j else "false")
 
+    def test_embedding_certificate_fires(self, capsys, monkeypatch):
+        # a selection whose q_1 = 11 splits in Q(sqrt(5)), so b_1 = {7, 11} rejects it
+        import dataclasses
+
+        from quatsurf import cli
+        from quatsurf.errors import VerificationError
+
+        select = cli.select_q_primes
+        monkeypatch.setattr(cli, "select_q_primes", lambda n: dataclasses.replace(select(n), q_primes=[11, 7]))
+        with pytest.raises(VerificationError, match=r"embedding matrix wrong at \(1, 1\)"):
+            cli._cmd_surfaces_demo(build_parser().parse_args(["surfaces-demo", "--n", "1"]))
+        code, out, err = run_cli(["surfaces-demo", "--n", "1"], capsys)
+        assert code == 3
+        assert out == "" and "embedding matrix wrong at (1, 1)" in err
+
     def test_zero_rejected(self, capsys):
         code, _, _ = run_cli(["surfaces-demo", "--n", "0"], capsys)
         assert code == 2

@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
-from quatsurf import arith, cli, fieldforge
+import dataclasses
+
+from quatsurf import arith, cli, fieldforge, relquad
 from quatsurf.errors import SearchCapExceeded, VerificationError
 from quatsurf.fieldforge import construct_fields, find_xi, hensel_sqrt
 
@@ -62,6 +64,38 @@ def test_norm_divisibility_certificate_fires(monkeypatch, capsys):
     assert cli.main(["construct-fields", "--delta", "-4", "--n", "2"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "norm of beta_1 not exactly divisible" in err
+
+
+def test_hensel_certificate_fires(monkeypatch, capsys):
+    # a square root mod p that is off: 1 for delta + p_2 = -4 + 13 = 9 mod 13
+    monkeypatch.setattr(arith, "mod_sqrt", lambda a, p: 1)
+    with pytest.raises(VerificationError, match="does not square to 9 mod 169"):
+        construct_fields(-4, 2)
+    assert cli.main(["construct-fields", "--delta", "-4", "--n", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Hensel lift" in err
+
+
+def test_galois_certificate_fires(monkeypatch, capsys):
+    # a Galois test fed the shift x = 0, whose norm 0^2 + 4 = 2^2 is a rational square
+    galois = fieldforge.is_galois_over_Q
+    monkeypatch.setattr(fieldforge, "is_galois_over_Q", lambda ext: galois(dataclasses.replace(ext, x=0)))
+    with pytest.raises(VerificationError, match="Galois over Q"):
+        construct_fields(-4, 1)
+    assert cli.main(["construct-fields", "--delta", "-4", "--n", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "a constructed field is Galois over Q" in err
+
+
+def test_compositum_witness_certificate_fires(monkeypatch, capsys):
+    # a residue map that forgets conjugation: at every candidate q | x_i^2 - delta the
+    # conjugate field ramifies too, so no prime witnesses L_i alone
+    monkeypatch.setattr(relquad, "beta_residue", lambda ext, prime: (ext.x + prime.root) % prime.p)
+    with pytest.raises(VerificationError, match="no compositum witness"):
+        construct_fields(-4, 2)
+    assert cli.main(["construct-fields", "--delta", "-4", "--n", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "no compositum witness for some field" in err
 
 
 class TestFindXi:

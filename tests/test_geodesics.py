@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatsurf import geodesics
+from quatsurf import cli, geodesics
+from quatsurf.errors import VerificationError
 from quatsurf.fieldforge import construct_fields
 from quatsurf.geodesics import (
     TraceClass,
@@ -197,6 +198,18 @@ class TestFundamentalUnit:
         for d in (-4, 0, 9, 20):
             with pytest.raises(ValueError):
                 fundamental_unit(d)
+
+    def test_dropped_quotient_certificate_fires(self, monkeypatch, capsys):
+        # a half walk that loses its last quotient gives a^2 - d*b^2 != +-4; 5 and 13
+        # (period 1) have an empty half, so surfaces-demo needs --n 3 to reach p_3 = 17
+        product = geodesics._cycle_product
+        monkeypatch.setattr(geodesics, "_cycle_product", lambda quotients: product(quotients[:-1]))
+        for d in (17, 28, 33, 37, 41, 61, 65, 1000001):
+            with pytest.raises(VerificationError, match="not a unit"):
+                fundamental_unit(d)
+        assert cli.main(["surfaces-demo", "--n", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "walk for d = 17 gave no unit" in err
 
 
 class TestCycleProduct:

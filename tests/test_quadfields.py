@@ -141,25 +141,45 @@ class TestDiscriminantEnumeration:
             assert abs(count / x - 6 / math.pi**2) < tol * (6 / math.pi**2), x
 
     def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            list(fundamental_discriminants(10, "complex"))
+        # _fundamental_blocks is the one place that reads sign, and refuses a bad one
+        # before any block, so even x below the first discriminant is refused
+        for x in (2, 10):
+            with pytest.raises(ValueError, match="bad sign"):
+                list(fundamental_discriminants(x, "complex"))
+            with pytest.raises(ValueError, match="bad sign"):
+                count_fundamental_discriminants(x, "complex")
+            with pytest.raises(ValueError, match="bad sign"):
+                list(discriminant_blocks(x, "complex"))
 
     def test_tiny_blocks_match_bruteforce(self, monkeypatch):
-        # x = 66 and 67 end exactly on and just past the edge of a 64-value block
-        monkeypatch.setattr(quadfields, "BLOCK", 64)
-        for x in (2, 3, 66, 67, 1000):
-            for sign in ("imaginary", "real", "both"):
-                want = fundamental_discs_oracle(x, sign)
-                assert list(fundamental_discriminants(x, sign)) == want, (x, sign)
-                assert count_fundamental_discriminants(x, sign) == len(want), (x, sign)
-        assert len(list(discriminant_blocks(1000))) == 16
+        # x = 66 and 67 end exactly on and just past the edge of a 64-value block;
+        # 1000 is no multiple of 16, so lo mod 16 moves from block to block
+        for block in (64, 1000):
+            monkeypatch.setattr(quadfields, "BLOCK", block)
+            for x in (2, 3, 66, 67, 1000, 3000):
+                for sign in ("imaginary", "real", "both"):
+                    want = fundamental_discs_oracle(x, sign)
+                    assert list(fundamental_discriminants(x, sign)) == want, (block, x, sign)
+                    assert count_fundamental_discriminants(x, sign) == len(want), (block, x, sign)
+            assert len(list(discriminant_blocks(3000))) == -(-2998 // block)
 
     def test_masks_match_bruteforce(self, monkeypatch):
+        for block in (64, 1000):
+            monkeypatch.setattr(quadfields, "BLOCK", block)
+            neg, pos = fundamental_masks(3000)
+            assert len(neg) == len(pos) == 3001
+            assert (-np.flatnonzero(neg)).tolist() == fundamental_discs_oracle(3000, "imaginary"), block
+            assert np.flatnonzero(pos).tolist() == fundamental_discs_oracle(3000, "real"), block
+
+    def test_one_strip_per_block(self, monkeypatch):
+        # D = -a and D = +a are both read off the odd-squarefree strip over a
+        strip, calls = quadfields._squarefree_strip, []
         monkeypatch.setattr(quadfields, "BLOCK", 64)
-        neg, pos = fundamental_masks(1000)
-        assert len(neg) == len(pos) == 1001
-        assert (-np.flatnonzero(neg)).tolist() == fundamental_discs_oracle(1000, "imaginary")
-        assert np.flatnonzero(pos).tolist() == fundamental_discs_oracle(1000, "real")
+        monkeypatch.setattr(quadfields, "_squarefree_strip", lambda lo, hi, *squares: calls.append((lo, hi)) or strip(lo, hi, *squares))
+        for sign in ("imaginary", "real", "both"):
+            calls.clear()
+            assert count_fundamental_discriminants(1000, sign) == len(fundamental_discs_oracle(1000, sign))
+            assert calls == [(lo, min(1000, lo + 63)) for lo in range(3, 1001, 64)], sign
 
 
 class TestKroneckerRows:
