@@ -37,22 +37,29 @@ def is_prime(n: int) -> bool:
 
 
 SEGMENT = 1 << 20
-"""Integers per sieve window: a 1 MB bool strip for primes_between."""
+"""Integers per sieve window: a 1 MB bool prime_strip."""
 
 
-def primes_between(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi], ascending, as an int64 array: one bool strip struck
-    by the base primes up to sqrt(hi) (segmented Eratosthenes, Bays-Hudson).
-    This is the package's one prime sieve.  Memory is the strip plus the base
-    primes, so callers walk long ranges in windows of SEGMENT."""
-    lo = max(lo, 2)
+def prime_strip(lo: int, hi: int) -> np.ndarray:
+    """The bool strip of [lo, hi]: entry i is True when lo + i is prime (empty
+    for hi < lo).  One strike per multiple of each base prime up to sqrt(hi)
+    (segmented Eratosthenes, Bays-Hudson); this is the package's one prime
+    sieve.  Memory is the strip plus the base primes, so callers walk long
+    ranges in windows of SEGMENT."""
     if hi < lo:
-        return np.empty(0, dtype=np.int64)
+        return np.zeros(0, dtype=bool)
     strip = np.ones(hi - lo + 1, dtype=bool)
+    strip[: max(0, 2 - lo)] = False
     for p in primes_up_to(math.isqrt(hi)).tolist():
         start = max(p * p, -(-lo // p) * p)
         strip[start - lo :: p] = False
-    return np.flatnonzero(strip) + lo
+    return strip
+
+
+def primes_between(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi], ascending, as an int64 array: the flattened prime_strip."""
+    lo = max(lo, 2)
+    return np.flatnonzero(prime_strip(lo, hi)) + lo
 
 
 def primes_up_to(n: int) -> np.ndarray:

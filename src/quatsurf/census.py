@@ -3,21 +3,26 @@
 The prime set P attached to a family of relative quadratic extensions
 consists of the rational primes p that split in the base field k and whose
 primes of k see every generator beta_i and conjugate reduce to a nonsquare.
-Bulk scans run one engine: the segmented sieve arith.primes_between over
-[lo, hi], then, per segment, the membership test vectorised over the primes
-in int64 numpy (exact below SCAN_LIMIT, where p^2 + p < 2^63); each fixed
-symbol (delta|p) or (x^2 - delta|p) is one quadfields.symbol_column of the
-discriminant of Q(sqrt(delta)) or Q(sqrt(x^2 - delta)), and each generator
-costs one power of x + sqrt(delta) in F_p[t]/(t^2 - delta), Euler's
-criterion in the split algebra, so no square root mod p is taken.
-Single queries (in_P) keep the scalar test with exact modular arithmetic
-(arith.mod_sqrt) for primes of any size.  Squarefree integers
-supported on P are built level by level in numpy: the products of k + 1
-distinct members from those of k.
+Bulk scans run one engine over segments of the sieve arith.prime_strip, in
+int64 numpy (exact below SCAN_LIMIT, where p^2 + p < 2^63), and take one of
+two paths, chosen from the input alone.  When k has class number one, every
+split prime is a value of the principal form, and membership for the
+generators with lcm(4*N(beta)) <= TABLE_MODULUS is a function of the
+argument classes mod that lcm (_class_table); each segment walks the lattice
+points of the admitted classes only (_walk_segment).  Otherwise the primes
+come from the strip, and each fixed symbol (delta|p) or (x^2 - delta|p) is
+one quadfields.symbol_column of the discriminant of Q(sqrt(delta)) or
+Q(sqrt(x^2 - delta)).  Either way each generator left costs one power of
+x + sqrt(delta) in F_p[t]/(t^2 - delta), Euler's criterion in the split
+algebra, so no square root mod p is taken.  Single queries (in_P) keep the
+scalar test with exact modular arithmetic (arith.mod_sqrt) for primes of
+any size.  Squarefree integers supported on P are built level by level in
+numpy: the products of k + 1 distinct members from those of k.
 """
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -72,20 +77,143 @@ def _power_in_k(x: np.ndarray, d: np.ndarray, e: np.ndarray, p: np.ndarray) -> t
     return u, v
 
 
+CLASS_NUMBER_ONE = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
+"""The imaginary quadratic discriminants of class number one (Baker-Heegner-Stark)."""
+
+TABLE_MODULUS = 64
+"""Largest modulus M of an admitted-class table: its M^2 classes take one pair
+of Jacobi symbols each (0.6-3 ms for M = 20 to 48, 0.1 s at M = 260)."""
+
+WALK_CHUNK = 1 << 15
+"""Lattice points per repeat/cumsum expansion of the principal-form walk."""
+
+
+def _table_plan(delta: int, xs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(M, the generators an admitted-class table decides): each x in turn joins
+    while M = lcm of the 4*N(beta) stays <= TABLE_MODULUS.  Only class number
+    one puts every split prime on the principal form, so other delta get (1, ())."""
+    M, chosen = 1, ()
+    if delta in CLASS_NUMBER_ONE:
+        for x in xs:
+            m = math.lcm(M, 4 * (x * x - delta))
+            if m <= TABLE_MODULUS:
+                M, chosen = m, chosen + (x,)
+    return M, chosen
+
+
+def _class_table(delta: int, xs: tuple[int, ...], M: int) -> np.ndarray:
+    """Admitted classes of the principal form f(a, b) = a^2 + Bab + Cb^2 of
+    discriminant delta (B = delta mod 2), as a bool (M, M) array indexed by
+    (a mod M, b mod M): True where every prime p = f(a, b) outside the boundary
+    set meets, for every x of xs, (x + r|p) = (x - r|p) = -1.
+
+    With L = 2a + Bb, L^2 - delta*b^2 = 4f(a, b), so r = L/b is a square root
+    of delta mod p and (x +- r|p) = (b(xb +- L)|p), with no root or inverse.
+    alpha = (L + b*sqrt(delta))/2 has norm f(a, b), and for primitive (a, b)
+    with f(a, b) prime to 2*N(beta) the Jacobi symbol (b(xb + L)|f(a, b)) is
+    the quadratic residue symbol of beta-bar (beta = x + sqrt(delta)) at the
+    ideal (alpha), multiplied over its prime factors, all of degree one.  By
+    quadratic reciprocity in k (no real places) that is a Hecke character of
+    alpha modulo 4*beta-bar, so it depends on (a, b) mod 4*N(beta) only
+    (Cox, Primes of the form x^2 + ny^2, sections 2-3 and 9; Lemmermeyer,
+    Reciprocity Laws).  Each class is therefore read exactly at one
+    representative, composite or not: (a0 + kM, b0 + M) with the least k >= 0
+    making it primitive, so n = f(a, b) is odd and prime to b.  A class with
+    f(a0, b0) sharing a factor with M holds no prime outside the boundary set
+    (every prime of M divides 2*N(beta)), so it is False.
+    """
+    B = delta & 1
+    C = (B - delta) // 4
+    table = np.zeros((M, M), dtype=bool)
+    for a0 in range(M):
+        for b0 in range(M):
+            if math.gcd(a0 * a0 + B * a0 * b0 + C * b0 * b0, M) > 1:
+                continue
+            b = b0 + M
+            a = next(a for a in itertools.count(a0, M) if math.gcd(a, b) == 1)
+            n, L = a * a + B * a * b + C * b * b, 2 * a + B * b
+            table[a0, b0] = all(arith.kronecker(b * (x * b + L), n) == -1 == arith.kronecker(b * (x * b - L), n) for x in xs)
+    return table
+
+
+def _walk_segment(delta: int, table: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The primes f(a, b) in [lo, hi], ascending, over the lattice points
+    (a, b) of the admitted classes of table (see _class_table).
+
+    alpha = (L + b*sqrt(delta))/2, L = 2a + Bb, has norm f(a, b).  A split
+    prime p = alpha*alpha-bar has 2w elements of norm p, the w units times
+    alpha and alpha-bar, one in each sector of angle 180/w degrees; the walk
+    takes the first sector, b >= 1 and L >= s*b with s = cot(180/w)*sqrt|delta|,
+    that is 2a + Bb >= 0 (w = 2), and a >= b for delta = -4 (w = 4) and
+    delta = -3 (w = 6), so every prime is found once.  Per b, the a-interval
+    comes from float square roots of 4*lo - |delta|b^2 and 4*hi - |delta|b^2,
+    widened to whole numbers; exactness comes from the integer test
+    lo <= f(a, b) <= hi.  Each admitted residue a0 of the column b mod M gives
+    one run a0 + M*j.  The b are taken in blocks of at most WALK_CHUNK runs,
+    and the runs expanded with repeat and cumsum at most WALK_CHUNK points at
+    a time, so memory is the window's arith.prime_strip, which decides
+    primality, plus O(WALK_CHUNK) at any lo.
+    """
+    M = len(table)
+    B, q = delta & 1, -delta
+    C = (B + q) // 4
+    strip = arith.prime_strip(lo, hi)
+    counts = np.count_nonzero(table, axis=0)
+    width = int(counts.max())
+    residues = np.argsort(~table, axis=0, kind="stable")[:width].T  # row b0: its admitted a0 first
+    found = [np.empty(0, dtype=np.int64)]
+    b_top = math.isqrt(4 * hi // q)
+    step = WALK_CHUNK // max(width, 1)  # b per block, so a block has at most WALK_CHUNK runs
+    for b_lo in range(1, b_top + 1, step):
+        b = np.arange(b_lo, min(b_lo + step, b_top + 1))
+        qb2, Bb = q * b * b, B * b
+        first = np.floor((np.sqrt(np.maximum(4 * lo - qb2, 0)) - Bb) / 2).astype(np.int64)
+        first = np.maximum(first, b if q in (3, 4) else -(Bb // 2))
+        last = np.ceil((np.sqrt(4 * hi - qb2) - Bb) / 2).astype(np.int64)
+        col = b % M
+        starts = first[:, None] + (residues[col] - first[:, None]) % M
+        runs = (last[:, None] - starts) // M + 1
+        runs[np.arange(width) >= counts[col][:, None]] = 0
+        live = runs > 0
+        starts, runs, bs = starts[live], runs[live], np.broadcast_to(b[:, None], live.shape)[live]
+        ends = np.cumsum(runs)
+        i = 0
+        while i < len(runs):
+            j = int(np.searchsorted(ends, ends[i] - runs[i] + WALK_CHUNK, side="right"))
+            n, offset = runs[i:j], ends[i] - runs[i]
+            a = np.repeat(starts[i:j] - M * (ends[i:j] - n - offset), n)
+            a += M * np.arange(ends[j - 1] - offset)
+            bb = np.repeat(bs[i:j], n)
+            v = a + B * bb
+            v *= a
+            bb *= bb
+            bb *= C
+            v += bb
+            v = v[(v >= lo) & (v <= hi)]
+            found.append(v[strip[v - lo]])
+            i = j
+    return np.sort(np.concatenate(found))
+
+
 def _scan_segment(
-    delta: int, xs: tuple[int, ...], boundary: tuple[int, ...], discs: tuple[int, ...], lo: int, hi: int
+    delta: int, xs: tuple[int, ...], boundary: tuple[int, ...], discs: tuple[int, ...], table: np.ndarray | None, lo: int, hi: int
 ) -> np.ndarray:
     """Members of P in [lo, hi]; standalone so segments can run in worker processes.
 
-    The cheap conditions go first: the fixed symbols (delta|p) = 1 and
-    (x^2 - delta|p) = 1 for every x, each one symbol_column of its
-    discriminant (discs runs parallel to delta, then xs).  On the survivors
-    t -> +-r, r^2 = delta, splits F_p[t]/(t^2 - delta) into F_p x F_p, so
-    (x + t)^((p-1)/2) has first coordinate u = ((x + r|p) + (x - r|p)) / 2,
-    and u = -1 exactly when both symbols are -1: one ring power per
-    generator, with no square root.
+    With an admitted-class table (class number one, see _class_table) the
+    primes come from _walk_segment: split by construction, and already
+    decided for the table's generators.  Without one (table None) they come
+    from the sieve.  Then the cheap conditions go first: each fixed symbol
+    (n|p) = 1 of discs is one symbol_column of the discriminant of Q(sqrt(n)).
+    Prime-side these are n = delta and every x^2 - delta; after the walk only
+    the x^2 - delta of the generators left in xs, since a table's pair of
+    symbols -1 implies its own.  Each generator of xs then costs one ring
+    power: on split p, t -> +-r, r^2 = delta, splits F_p[t]/(t^2 - delta)
+    into F_p x F_p, so (x + t)^((p-1)/2) has first coordinate
+    u = ((x + r|p) + (x - r|p)) / 2, and u = -1 exactly when both symbols
+    are -1, with no square root.
     """
-    ps = arith.primes_between(lo, hi)
+    ps = arith.primes_between(lo, hi) if table is None else _walk_segment(delta, table, lo, hi)
     ps = ps[~np.isin(ps, boundary)]
     for disc in discs:
         ps = ps[symbol_column(disc, ps) == 1]
@@ -131,6 +259,16 @@ class PrimePredicate:
             raise BoundaryPrimeError(f"boundary prime {p} - excluded by convention")
         return _nonsquare_at_all(self.delta_k, self.xs, p)
 
+    def _segment_scan(self) -> Callable[[int, int], np.ndarray]:
+        """_scan_segment(lo, hi) for this family, with the admitted-class table,
+        when there is one, built here once for the whole scan, and the
+        generators and fixed symbols it leaves open."""
+        M, tabled = _table_plan(self.delta_k, self.xs)
+        table = _class_table(self.delta_k, tabled, M) if tabled else None
+        rest = [(x, disc) for x, disc in zip(self.xs, self._discs[1:]) if x not in tabled]
+        discs = tuple(disc for _, disc in rest) if tabled else self._discs
+        return functools.partial(_scan_segment, self.delta_k, tuple(x for x, _ in rest), tuple(sorted(self.boundary)), discs, table)
+
     def members_up_to(self, bound: int, shards: int = 1, progress: Callable[[int], None] | None = None) -> np.ndarray:
         """Ascending int64 array of the members of P up to bound (cached).
 
@@ -144,7 +282,7 @@ class PrimePredicate:
         if bound >= SCAN_LIMIT:
             raise ValueError(f"scan bound {bound} is beyond the exact int64 range (< {SCAN_LIMIT})")
         if bound > self._scanned_to:
-            scan = functools.partial(_scan_segment, self.delta_k, self.xs, tuple(sorted(self.boundary)), self._discs)
+            scan = self._segment_scan()
             los = range(self._scanned_to + 1, bound + 1, SEGMENT)
             his = [min(bound, lo + SEGMENT - 1) for lo in los]
             workers = min(shards, os.cpu_count() or 1, len(los))

@@ -253,15 +253,16 @@ def character_table(delta: int) -> np.ndarray:
     return periodic_window(_character_parts(delta), 0, abs(delta))
 
 
-def character_blocks(delta: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(a, chi_delta(a)) over the residues 1 <= a < |delta| with chi_delta(a) != 0,
-    as int64 and int8 arrays, one block of CHI_BLOCK residues at a time: the
-    same tables as character_table, read block by block.  Memory is the
-    tables (the largest prime factor's dominates) plus one block."""
+def character_blocks(delta: int, stop: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(a, chi_delta(a)) over the residues 1 <= a < stop (default |delta|) with
+    chi_delta(a) != 0, as int64 and int8 arrays, one block of CHI_BLOCK
+    residues at a time: the same tables as character_table, read block by
+    block.  Memory is the tables (the largest prime factor's dominates) plus
+    one block."""
     parts = _character_parts(delta)
-    q = abs(delta)
-    for lo in range(1, q, CHI_BLOCK):
-        chi = periodic_window(parts, lo, min(CHI_BLOCK, q - lo))
+    stop = abs(delta) if stop is None else stop
+    for lo in range(1, stop, CHI_BLOCK):
+        chi = periodic_window(parts, lo, min(CHI_BLOCK, stop - lo))
         a = np.flatnonzero(chi)
         yield a + lo, chi[a]
 

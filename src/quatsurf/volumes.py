@@ -6,9 +6,10 @@ zeta(s) * L(s, chi_delta), and at s = 2 the zeta(2) = pi^2/6 cancels the
 times sqrt|delta| times one L-value.  That L-value is a sum over one period of
 the character of trigamma values, each a few shifted terms plus an
 asymptotic series whose remainder bound proves the requested tolerance.  The
-period is walked block by block (quadfields.character_blocks): time is
-O(|delta| * (K + J)) and memory one int8 table of the largest prime factor
-of delta plus one block, for |delta| up to MAX_ABS_DELTA.
+period, or for imaginary delta its first half, is walked block by block
+(quadfields.character_blocks): time is O(|delta| * (K + J)) and memory one
+int8 table of the largest prime factor of delta plus one block, for |delta|
+up to MAX_ABS_DELTA.
 Coareas of the rational (Fuchsian) groups are exact rational multiples of pi.
 """
 
@@ -69,6 +70,10 @@ def dirichlet_L2(delta: int, tol: float = 1e-10) -> float:
     that series is enveloping: the error is at most the first omitted term,
     so over the < q residues the truncation error is at most
     |B_(2J+2)| / (q * K^(2J+3)); K and J are the smallest that bring it to tol.
+    For delta < 0, chi is odd, chi(q - a) = -chi(a), and the reflection
+    psi_1(z) + psi_1(1 - z) = pi^2/sin^2(pi*z) (DLMF 5.15.6) folds the sum onto
+    a < q/2: L(2, chi) = q^-2 * sum_{a<q/2} chi(a) * (2*psi_1(a/q) - pi^2/sin^2(pi*a/q)).
+    The bound is unchanged: half as many psi_1 terms, each counted twice.
     The residues are summed one block of quadfields.CHI_BLOCK at a time, so
     time is O(q * (K + J)) and memory one int8 kronecker_table of the largest
     prime factor of delta plus one block, whatever tol is; rounding adds a
@@ -84,8 +89,9 @@ def dirichlet_L2(delta: int, tol: float = 1e-10) -> float:
         raise ValueError(f"tol must be at least {MIN_TOL}")
     q = abs(delta)
     K, J = _tail_plan(q, tol)
+    odd = delta < 0
     total = 0.0
-    for a, chi in character_blocks(delta):
+    for a, chi in character_blocks(delta, (q + 1) // 2 if odd else q):
         z = a / q
         z += K
         s = _trigamma_series(z, J)
@@ -94,6 +100,11 @@ def dirichlet_L2(delta: int, tol: float = 1e-10) -> float:
         for k in range(K):
             np.square(a + k * q, out=w, dtype=np.float64)
             s += np.reciprocal(w, out=w)
+        if odd:  # 2*psi_1(a/q) - pi^2/sin^2(pi*a/q), over q^2
+            s *= 2
+            np.sin(np.multiply(a, np.pi / q, out=w), out=w)
+            w *= q / np.pi
+            s -= np.reciprocal(np.square(w, out=w), out=w)
         total += float(np.sum(s * chi))
     return total
 

@@ -55,6 +55,17 @@ class TestPrimesBetween:
             want = list(sympy.primerange(lo, hi + 1))
             assert got.tolist() == want == [n for n in range(lo, hi + 1) if arith.is_prime(n)], (lo, hi)
 
+    def test_prime_strip(self):
+        # the strip primes_between flattens: lo = 0 and 1 strike themselves, windows
+        # straddle SEGMENT edges and a prime square, and empty ranges give empty strips
+        cases = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 100), (2, 2), (2, 100), (0, 1000), (-3, 3), (5, 4), (100, 99)]
+        cases += [(k * arith.SEGMENT - 40, k * arith.SEGMENT + 40) for k in (1, 2)] + [(1009**2 - 5, 1009**2 + 5)]
+        for lo, hi in cases:
+            strip = arith.prime_strip(lo, hi)
+            assert strip.dtype == bool and len(strip) == max(0, hi - lo + 1), (lo, hi)
+            want = [n for n in range(lo, hi + 1) if arith.is_prime(n)]
+            assert (np.flatnonzero(strip) + lo).tolist() == want == arith.primes_between(lo, hi).tolist(), (lo, hi)
+
     def test_primes_up_to(self):
         for n in (-3, 0, 1, 2, 3, 4, 25, 26, 10**5):
             assert arith.primes_up_to(n).tolist() == list(sympy.primerange(n + 1)), n

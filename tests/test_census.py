@@ -95,11 +95,15 @@ class _InlinePool:
 
 class TestMembersScan:
     def test_matches_enumeration_oracle(self):
+        # -15 with x = 1 fits a modulus-64 table but has class number two, so it
+        # scans prime-side; -19 and -43 have class number one but 4*N(beta) > 64
         preds = [
             PrimePredicate(delta, construct_fields(delta, n).extensions if n else [])
             for delta in (-3, -4, -7, -8, -11) + LARGE_DELTAS
             for n in range(4)
         ]
+        preds += [PrimePredicate(-15, [RelQuadExt(-15, 1)])]
+        preds += [PrimePredicate(delta, construct_fields(delta, 1).extensions) for delta in (-19, -43)]
         want = {pred: [] for pred in preds}
         for p in arith.primes_up_to(2 * 10**4).tolist():  # primes outermost: the oracle caches per p
             for pred in preds:
@@ -109,22 +113,26 @@ class TestMembersScan:
             assert pred.members_up_to(2 * 10**4).tolist() == want[pred], (pred.delta_k, pred.xs)
 
     def test_no_table_longer_than_column(self, family_n1, monkeypatch):
-        # each fixed symbol is one symbol_column per segment: (delta|p), then
-        # (x^2 - delta|p) by the discriminant of Q(sqrt(x^2 - delta)); a character
-        # table is built only when it is no longer than the column of primes
+        # each fixed symbol left is one symbol_column per segment: prime-side,
+        # (delta|p), then (x^2 - delta|p) by the discriminant of Q(sqrt(x^2 - delta));
+        # after the walk, only the symbols of the generators outside its table.
+        # A character table is built only when it is no longer than the column of primes
         columns, tables = [], []
         column = quadfields.symbol_column
         monkeypatch.setattr(census, "symbol_column", lambda d, ps: columns.append((d, len(ps))) or column(d, ps))
         table = quadfields.character_table
         monkeypatch.setattr(quadfields, "character_table", lambda d: tables.append((d, columns[-1][1])) or table(d))
         PrimePredicate(-4, family_n1.extensions).members_up_to(3 * SEGMENT + 5)
+        assert columns == []  # the walk's table decides x = 1: no (-4|p), no (5|p)
+        PrimePredicate(-4, construct_fields(-4, 2).extensions).members_up_to(3 * SEGMENT + 5)
         PrimePredicate(LARGE_DELTAS[0], construct_fields(LARGE_DELTAS[0], 1).extensions).members_up_to(SEGMENT + 5)
-        assert [d for d, _ in columns] == [-4, 5] * 4 + [LARGE_DELTAS[0], 262145] * 2
+        assert [d for d, _ in columns] == [13] * 4 + [LARGE_DELTAS[0], 262145] * 2
         assert all(abs(d) <= n for d, n in tables)
-        # -4 and 5 take tables in the three full segments, not in the last one of five
-        # integers; |delta| = 1048579 and 262145 are longer than the ~82,000 primes of
-        # a segment, so Euler's criterion decides them
-        assert [d for d, _ in tables] == [-4, 5] * 3
+        # x = 3 of the n = 2 family is left to 13: a table in the three full segments,
+        # none for the empty walk of the last one of five integers; |delta| = 1048579
+        # and 262145 are longer than the ~82,000 primes of a segment, so Euler's
+        # criterion decides them
+        assert [d for d, _ in tables] == [13] * 3
 
     def test_fixed_symbol_discriminants(self):
         # the n = 1 census families: x^2 - delta = 7, 5, 12 give D = 28, 5, 12
@@ -214,14 +222,89 @@ class TestMembersScan:
         assert [len(a) for a in census._power_in_k(empty, empty, empty, empty)] == [0, 0]
 
     def test_scan_at_int64_edge(self):
-        # the ring power's intermediates reach p^2 + p, just below 2^63, at the top of the scan range
+        # the ring power's intermediates reach p^2 + p, just below 2^63, at the top of
+        # the scan range; the walk's a-intervals there come from float square roots
+        # of 4*hi - |delta|*b^2 near 1.2e10, made exact by the integer window test
         lo, hi = SCAN_LIMIT - 2 * 10**5, SCAN_LIMIT - 1
         primes = [p for p in range(lo + 1, hi + 1, 2) if arith.is_prime(p)]
-        for delta, n in ((-4, 2), (LARGE_DELTAS[0], 1)):
+        for delta, n in ((-4, 2), (LARGE_DELTAS[0], 1), (-4, 1), (-7, 1)):
             pred = PrimePredicate(delta, construct_fields(delta, n).extensions)
-            found = census._scan_segment(delta, pred.xs, tuple(sorted(pred.boundary)), pred._discs, lo, hi)
+            found = pred._segment_scan()(lo, hi)
             want = [p for p in primes if p not in pred.boundary and pred.in_P(p)]
             assert len(want) > 100 and found.tolist() == want, delta
+
+    @staticmethod
+    def prime_side(delta, xs, bound, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(census, "TABLE_MODULUS", 1)
+            assert census._table_plan(delta, xs) == (1, ())
+            return PrimePredicate(delta, [RelQuadExt(delta, x) for x in xs]).members_up_to(bound)
+
+    def test_walk_matches_prime_side(self, monkeypatch):
+        # n = 2 and 3 leave generators past the modulus cap to the ring power
+        for delta in (-3, -4, -7, -8, -11):
+            for n in (1, 2, 3):
+                xs = tuple(e.x for e in construct_fields(delta, n).extensions)
+                assert census._table_plan(delta, xs)[1] == xs[:1]
+                walk = PrimePredicate(delta, [RelQuadExt(delta, x) for x in xs]).members_up_to(10**6)
+                assert np.array_equal(walk, self.prime_side(delta, xs, 10**6, monkeypatch)), (delta, n)
+
+    @pytest.mark.parametrize("delta", [-3, -4, -8])
+    def test_walk_matches_prime_side_to_1e7(self, delta, monkeypatch):
+        xs = tuple(e.x for e in construct_fields(delta, 1).extensions)
+        walk = PrimePredicate(delta, [RelQuadExt(delta, x) for x in xs]).members_up_to(10**7)
+        assert len(walk) > 80_000 and np.array_equal(walk, self.prime_side(delta, xs, 10**7, monkeypatch))
+
+    def test_table_selection(self):
+        # greedy in order while lcm(4*N(beta)) <= 64, and only for class number one
+        plan = census._table_plan
+        assert plan(-3, (2,)) == (28, (2,))  # N = 7
+        assert plan(-4, (1, 3, 637)) == (20, (1,))  # lcm(20, 52) = 260 > 64
+        assert plan(-3, (0, 1)) == (48, (0, 1))  # lcm(12, 16)
+        assert plan(-15, (1,)) == (1, ())  # 4 * 16 = 64 fits, but h(-15) = 2
+        assert plan(-43, (45,)) == (1, ())  # h = 1, but 4 * 2068 > 64
+        assert plan(-4, ()) == (1, ())  # n = 0 scans prime-side
+        assert [e.x for e in construct_fields(-4, 3).extensions] == [1, 3, 637]
+        assert [e.x for e in construct_fields(-43, 1).extensions] == [45]
+
+    @pytest.mark.parametrize("delta, xs", [(-3, (2,)), (-4, (1,)), (-7, (2,)), (-8, (2,)), (-11, (1,)), (-3, (0, 1)), (-4, (2,))])
+    def test_class_table_is_periodic(self, delta, xs):
+        # each entry is the Jacobi value at the further primitive representatives
+        # (a0 + kM, b0 + lM), k, l in {1, 2}; classes whose values share a factor
+        # with M are empty
+        M, tabled = census._table_plan(delta, xs)
+        assert tabled == xs
+        table = census._class_table(delta, xs, M)
+        B = delta & 1
+        C = (B - delta) // 4
+        checked = 0
+        for a0 in range(M):
+            for b0 in range(M):
+                if math.gcd(a0 * a0 + B * a0 * b0 + C * b0 * b0, M) > 1:
+                    assert not table[a0, b0]
+                    continue
+                for a, b in ((a0 + k * M, b0 + l * M) for k in (1, 2) for l in (1, 2)):
+                    if math.gcd(a, b) == 1:
+                        n, L = a * a + B * a * b + C * b * b, 2 * a + B * b
+                        symbols = [arith.kronecker(b * (x * b + s * L), n) for x in xs for s in (1, -1)]
+                        assert table[a0, b0] == (symbols == [-1] * len(symbols)), (a0, b0, a, b)
+                        checked += 1
+        assert table.any() and checked > M * M // 4
+
+    def test_scan_memory(self):
+        # the walk expands at most WALK_CHUNK points at a time next to one
+        # SEGMENT strip; the parent prime-side scan peaked at 2.5 MiB
+        import tracemalloc
+
+        for delta in (-3, -4, -8):
+            pred = PrimePredicate(delta, construct_fields(delta, 1).extensions)
+            tracemalloc.start()
+            try:
+                pred.members_up_to(10**7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, (delta, peak)
 
     def test_in_P_beyond_scan_limit(self, predicate_n1):
         from sympy.ntheory import is_quad_residue, sqrt_mod
