@@ -4,7 +4,15 @@ Exact arithmetic for quadratic and relative quadratic extensions, quaternion
 algebras classified by ramification data, sieve censuses of algebras and
 discriminants, fundamental units and geodesic lengths, and the covolume and
 coarea formulas of the associated arithmetic groups.
+
+One thread per process: OPENBLAS_NUM_THREADS defaults to 1 unless already set.
 """
+
+import os
+
+# quatsurf calls no BLAS routine, and OpenBLAS reads this once, when numpy
+# loads: without it an idle worker pool spins on a second core every run.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

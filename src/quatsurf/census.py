@@ -223,6 +223,11 @@ def _scan_segment(
     return ps
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 class PrimePredicate:
     """Deterministic membership test for the prime set P of a family of extensions.
 
@@ -273,7 +278,7 @@ class PrimePredicate:
         """Ascending int64 array of the members of P up to bound (cached).
 
         The scan runs in segments of SEGMENT integers; shards > 1 spreads them
-        over at most os.cpu_count() worker processes.  progress(hi) is called
+        over at most _usable_cpus() worker processes.  progress(hi) is called
         once per segment, in ascending order.  Bounds from SCAN_LIMIT on are
         refused, since the int64 arithmetic would no longer be exact.
         """
@@ -285,7 +290,7 @@ class PrimePredicate:
             scan = self._segment_scan()
             los = range(self._scanned_to + 1, bound + 1, SEGMENT)
             his = [min(bound, lo + SEGMENT - 1) for lo in los]
-            workers = min(shards, os.cpu_count() or 1, len(los))
+            workers = min(shards, _usable_cpus(), len(los))
             chunks = [self._members]
             with contextlib.ExitStack() as stack:
                 if workers > 1:

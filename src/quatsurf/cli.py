@@ -124,6 +124,8 @@ _FIELD_COLUMNS = [
 
 
 def _cmd_construct_fields(args) -> int:
+    if args.search_cap < 0:
+        raise ValueError(f"--search-cap must be >= 0, got {args.search_cap}")
     result = construct_fields(args.delta, args.n, search_cap=args.search_cap)
     rows = []
     for row, ext, galois in zip(result.rows, result.extensions, result.galois_flags):
@@ -367,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="family size (0 = bare split primes)")
     p.add_argument("--x", type=_integer, required=True, help="discriminant-norm bound, an integer such as 1e8")
     p.add_argument("--checkpoints", type=_integers, help="comma-separated integer checkpoints (default: powers of 10)")
-    p.add_argument("--shards", type=int, default=1, help="worker processes for the prime scan (clamped to the CPU count)")
+    p.add_argument("--shards", type=int, default=1, help="worker processes for the prime scan (clamped to the CPUs this process may use)")
     p.add_argument("--progress", action="store_true", help="progress lines on the diagnostic stream")
     common(p)
     p.set_defaults(func=_cmd_census)

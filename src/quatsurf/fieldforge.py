@@ -70,7 +70,7 @@ def find_xi(delta_k: int, split_primes: list[int], i: int, search_cap: int = 100
         x = r + p2 * t
         if all((x * x - delta_k) % q != 0 for q in others):
             return XiChoice(x, r, t, x / pn**4)
-    raise SearchCapExceeded(f"no admissible t below {search_cap} for i={i}")
+    raise SearchCapExceeded(f"no admissible t in 0..{search_cap} for i={i}")
 
 
 @dataclass(frozen=True)

@@ -186,7 +186,7 @@ class TestMembersScan:
             return pools[-1]
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", fake_pool)
-        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(census, "_usable_cpus", lambda: 2)
         reports = []
         bound = 3 * SEGMENT + 5
         members = PrimePredicate(-4, family_n1.extensions).members_up_to(bound, shards=100_000, progress=reports.append)

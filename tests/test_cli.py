@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -58,7 +59,7 @@ class TestConstructFieldsCommand:
         from quatsurf import cli
         from quatsurf.errors import SearchCapExceeded
 
-        # the smallest cap still finds t = 0
+        # a small cap still finds t = 0
         code, _, _ = run_cli(["construct-fields", "--delta", "-4", "--n", "1", "--search-cap", "1"], capsys)
         assert code == 0
 
@@ -69,6 +70,16 @@ class TestConstructFieldsCommand:
         code, _, err = run_cli(["construct-fields", "--delta", "-4", "--n", "1"], capsys)
         assert code == 4
         assert "synthetic" in err
+
+    def test_negative_search_cap_exits_2(self, capsys):
+        # the search tries t = 0..cap inclusive, so cap 0 is the smallest usable one
+        code, out, err = run_cli(["construct-fields", "--delta", "-4", "--n", "1", "--search-cap", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--search-cap" in err
+        code, out, _ = run_cli(["construct-fields", "--delta", "-4", "--n", "1", "--search-cap", "0"], capsys)
+        assert code == 0
+        assert out.startswith("i,p,root,t,")
 
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(["construct-fields", "--delta", "-4", "--n", "1", "--json"], capsys)
@@ -347,6 +358,37 @@ class TestDeterminism:
         code = "import sys, quatsurf.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert res.stdout.strip() == "[]"
+
+    # importing quatsurf sets OPENBLAS_NUM_THREADS in this process too, so each
+    # child starts from an environment without any BLAS thread setting
+    _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    def _child_env(self, **extra):
+        env = {k: v for k, v in os.environ.items() if k not in self._BLAS_VARS}
+        return dict(env, **extra)
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+    @pytest.mark.parametrize("stmt", ["import quatsurf.cli", "from quatsurf import geodesics, volumes"])
+    def test_import_runs_one_thread(self, stmt):
+        # numpy's OpenBLAS would otherwise start one worker per extra CPU
+        code = f"{stmt}; import os; print(len(os.listdir('/proc/self/task')))"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=self._child_env())
+        assert res.stdout.strip() == "1"
+
+    def test_explicit_blas_threads_win(self):
+        code = "import os, quatsurf.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        env = self._child_env(OPENBLAS_NUM_THREADS="2")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert res.stdout.strip() == "2"
+
+    def test_sharded_census_forks_cleanly(self):
+        # forking a multi-threaded process raises DeprecationWarning on Python >= 3.12;
+        # x = 10^13 scans to 3.2e6, four segments, so two shards start a pool
+        base = [sys.executable, "-W", "error::DeprecationWarning", "-m", "quatsurf.cli", "census"]
+        base += ["--delta", "-4", "--n", "2", "--x", "1e13"]
+        runs = [subprocess.run(base + ["--shards", s], capture_output=True, env=self._child_env()) for s in ("2", "1")]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
 
     def test_byte_identical_runs(self):
         cmd = [sys.executable, "-m", "quatsurf.cli", "surfaces-demo", "--n", "2", "--disc-bound", "1e4"]
