@@ -1,9 +1,10 @@
 """Elementary integer arithmetic: primality, Kronecker symbols, modular square roots.
 
-Everything here is exact integer arithmetic; numpy only appears in the prime
-sieve, powmod and residues.
+Everything here is exact integer arithmetic; numpy only appears in the sieves
+(strike_strip strikes both the prime and squarefree strips), powmod and residues.
 """
 
+import bisect
 import itertools
 import math
 
@@ -40,19 +41,30 @@ SEGMENT = 1 << 20
 """Integers per sieve window: a 1 MB bool prime_strip."""
 
 
+def strike_strip(lo: int, hi: int, primes: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """The bool strip of [lo, hi] (empty for hi < lo), struck at the multiples of
+    moduli[j], a power of primes[j], at or above primes[j]^2 (moduli ascend): one
+    slice per modulus no longer than the strip, and one scatter for the longer
+    ones, which strike at most once.  Memory is the strip plus O(len(moduli))."""
+    strip = np.ones(max(0, hi - lo + 1), dtype=bool)
+    k = bisect.bisect_right(moduli, len(strip))  # moduli[:k] are short
+    for p, m in zip(primes[:k].tolist(), moduli[:k].tolist()):  # from the first multiple at or above max(lo, p^2)
+        strip[(-lo) % m if p * p <= lo else -(-p * p // m) * m - lo :: m] = False
+    if k < len(moduli):  # skipped when all are short, so such strips make no further numpy call
+        first = (-lo) % moduli[k:]  # lo + first is each long modulus' first multiple at or above lo
+        strip[first[(first < len(strip)) & (first + lo >= primes[k:] ** 2)]] = False
+    return strip
+
+
 def prime_strip(lo: int, hi: int) -> np.ndarray:
-    """The bool strip of [lo, hi]: entry i is True when lo + i is prime (empty
-    for hi < lo).  One strike per multiple of each base prime up to sqrt(hi)
-    (segmented Eratosthenes, Bays-Hudson); this is the package's one prime
-    sieve.  Memory is the strip plus the base primes, so callers walk long
-    ranges in windows of SEGMENT."""
+    """The bool strip of [lo, hi]: entry i is True when lo + i is prime.  Segmented
+    Eratosthenes (Bays-Hudson): strike_strip by the base primes up to sqrt(hi), so
+    memory is the strip plus those primes, and callers walk long ranges by SEGMENT."""
     if hi < lo:
         return np.zeros(0, dtype=bool)
-    strip = np.ones(hi - lo + 1, dtype=bool)
+    ps = primes_up_to(math.isqrt(max(hi, 0)))
+    strip = strike_strip(lo, hi, ps, ps)
     strip[: max(0, 2 - lo)] = False
-    for p in primes_up_to(math.isqrt(hi)).tolist():
-        start = max(p * p, -(-lo // p) * p)
-        strip[start - lo :: p] = False
     return strip
 
 
@@ -72,11 +84,9 @@ def iter_primes(start: int = 2):
 
     The walk sieves windows [lo, lo + min(lo, SEGMENT)]: they double from tiny
     ones, so a walk that stops early sieves little, and stop growing at one
-    SEGMENT.  Each window takes one strike per prime up to sqrt(hi), so a far
-    first window costs about sqrt(start)/log(start) strikes (the first prime
-    past 10^12 takes about 0.13 s, past 10^14 1.1 s on a 2-vCPU VM); its only
-    callers, primeforge and quadfields.split_primes_prefix, start at 3 and never pay it.
-    """
+    SEGMENT.  A far first window still sieves the primes up to sqrt(hi) (the
+    first prime past 10^12 takes 0.1 s, past 10^14 0.2 s on a 2-vCPU VM); its
+    only callers, primeforge and quadfields.split_primes_prefix, start at 3."""
     lo = max(2, start)
     while True:
         hi = lo + min(lo, SEGMENT)

@@ -66,7 +66,7 @@ def _fmt(value) -> str:
 def _emit(args, command: str, columns: list[str], rows: list[dict], extra_manifest: dict) -> None:
     manifest = {"command": command, "version": __version__, "schema": ",".join(columns)}
     for key, value in sorted(vars(args).items()):
-        if key in ("func", "out", "json", "csv") or value is None:
+        if key in ("func", "out", "json") or value is None:
             continue
         # manifests are flat objects: collapse multi-valued flags to one string
         manifest[f"flag_{key}"] = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else value
@@ -165,6 +165,8 @@ _CENSUS_COLUMNS = ["table", "checkpoint", "count", "ratio"]
 
 
 def _cmd_census(args) -> int:
+    if args.shards < 1:
+        raise ValueError(f"--shards must be at least 1, got {args.shards}")
     if args.n < 0:
         raise ValueError("--n must be >= 0")
     x_bound = args.x
@@ -352,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--json", action="store_true", help="emit one JSON document instead of CSV")
-        group.add_argument("--csv", action="store_true", help="emit CSV (default)")
+        p.add_argument("--json", action="store_true", help="emit one JSON document instead of CSV")
         p.add_argument("--out", help="directory for data + manifest files (default: stdout/stderr)")
 
     p = sub.add_parser("construct-fields", help="build and certify a family of quadratic extensions")

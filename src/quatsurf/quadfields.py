@@ -155,30 +155,20 @@ _SIGNS = {"imaginary": (-1,), "real": (1,), "both": (-1, 1)}
 """The signs of the rows of _fundamental_blocks for each sign selection."""
 
 
-def _squarefree_strip(lo: int, hi: int, small: list[int], large: np.ndarray) -> np.ndarray:
-    """t[i] true iff no square of small or large divides lo + i (1 <= lo); small and
-    large hold the prime squares to strike, split at BLOCK, so each large one
-    strikes at most once."""
-    t = np.ones(hi - lo + 1, dtype=bool)
-    for q in small:
-        t[(-lo) % q :: q] = False
-    first = (-lo) % large
-    t[first[first < len(t)]] = False
-    return t
-
-
 def _fundamental_blocks(x: int, sign: str = "both") -> Iterator[tuple[int, np.ndarray]]:
     """(lo, masks) per block of BLOCK values a = lo, lo + 1, ... of 3 <= a <= x, one
     row per sign of _SIGNS[sign]: masks[j, i] true iff _SIGNS[sign][j] * (lo + i) is
-    fundamental.  One strip per block marks the a free of odd prime squares, and
-    each row copies it on the three _SIGN_CLASSES of its sign.  Memory is one block
-    of the strip and the rows plus the odd prime squares up to x."""
+    fundamental.  One arith.strike_strip per block marks the a free of odd prime
+    squares, and each row copies it on the three _SIGN_CLASSES of its sign.  Memory
+    is one block of the strip and the rows plus the odd primes p <= sqrt(x) and p^2."""
     if sign not in _SIGNS:
         raise ValueError(f"bad sign {sign!r}")
-    squares = arith.primes_up_to(math.isqrt(max(x, 0)))[1:] ** 2
-    small, large = [int(q) for q in squares[squares <= BLOCK]], squares[squares > BLOCK]
+    if x > 2**53:
+        raise ValueError(f"the |D| bound must be at most 2^53, got {x}")
+    odd = arith.primes_up_to(math.isqrt(max(x, 0)))[1:]
+    squares = odd * odd
     for lo in range(3, x + 1, BLOCK):
-        sf = _squarefree_strip(lo, min(x, lo + BLOCK - 1), small, large)
+        sf = arith.strike_strip(lo, min(x, lo + BLOCK - 1), odd, squares)
         masks = np.zeros((len(_SIGNS[sign]), len(sf)), dtype=bool)
         for mask, s in zip(masks, _SIGNS[sign]):
             for m, r in _SIGN_CLASSES[s]:

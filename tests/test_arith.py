@@ -8,7 +8,6 @@ import sympy
 
 from quatsurf import arith
 from quatsurf.census import SCAN_LIMIT
-from quatsurf.quadfields import _squarefree_strip
 
 
 class TestPrimality:
@@ -56,9 +55,10 @@ class TestPrimesBetween:
             assert got.tolist() == want == [n for n in range(lo, hi + 1) if arith.is_prime(n)], (lo, hi)
 
     def test_prime_strip(self):
-        # the strip primes_between flattens: lo = 0 and 1 strike themselves, windows
-        # straddle SEGMENT edges and a prime square, and empty ranges give empty strips
-        cases = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 100), (2, 2), (2, 100), (0, 1000), (-3, 3), (5, 4), (100, 99)]
+        # the strip primes_between flattens: lo = 0 and 1 strike themselves, as does a
+        # window wholly below 0, windows straddle SEGMENT edges and a prime square, and
+        # empty ranges give empty strips
+        cases = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 100), (2, 2), (2, 100), (0, 1000), (-3, 3), (-10, -5), (5, 4), (100, 99)]
         cases += [(k * arith.SEGMENT - 40, k * arith.SEGMENT + 40) for k in (1, 2)] + [(1009**2 - 5, 1009**2 + 5)]
         for lo, hi in cases:
             strip = arith.prime_strip(lo, hi)
@@ -71,14 +71,35 @@ class TestPrimesBetween:
             assert arith.primes_up_to(n).tolist() == list(sympy.primerange(n + 1)), n
 
 
+class TestStrikeStrip:
+    @staticmethod
+    def brute(lo, hi, primes, moduli):
+        return [not any(v % m == 0 and v >= p * p for p, m in zip(primes, moduli)) for v in range(lo, hi + 1)]
+
+    def test_against_bruteforce(self):
+        # prime strips (moduli = primes) and square strips (moduli = p^2), with moduli
+        # shorter and longer than the strip: in (0, 30) and (40, 50) the primes 2..29
+        # and 41, 43, 47 lie below their squares and must not strike themselves;
+        # empty strips lo = hi + 1, and windows at SEGMENT edges
+        cases = [(0, 30), (1, 1), (40, 50), (5, 200), (1500, 1600), (7, 6), (1000, 999)]
+        cases += [(k * arith.SEGMENT - 40, k * arith.SEGMENT + 40) for k in (1, 2, 3)]
+        for lo, hi in cases:
+            primes = arith.primes_up_to(max(100, math.isqrt(hi)))
+            for moduli in (primes, primes**2, primes**3):
+                strip = arith.strike_strip(lo, hi, primes, moduli)
+                assert strip.dtype == bool and len(strip) == max(0, hi - lo + 1), (lo, hi)
+                assert strip.tolist() == self.brute(lo, hi, primes.tolist(), moduli.tolist()), (lo, hi, moduli[:2])
+            odd = primes[1:]
+            assert arith.strike_strip(lo, hi, odd, odd**2).tolist() == self.brute(lo, hi, odd.tolist(), (odd**2).tolist()), (lo, hi)
+
+
 class TestSquarefree:
     def test_table_matches_scalar(self):
         # the discriminant engine's segmented strips; squares longer than the
         # strip go to the scatter that strikes each at most once
-        squares = arith.primes_up_to(40) ** 2
+        primes = arith.primes_up_to(40)
         for lo, hi in ((1, 500), (777, 1600), (1500, 1600)):
-            n = hi - lo + 1
-            strip = _squarefree_strip(lo, hi, [int(q) for q in squares[squares <= n]], squares[squares > n])
+            strip = arith.strike_strip(lo, hi, primes, primes**2)
             assert [bool(t) for t in strip] == [arith.is_squarefree(m) for m in range(lo, hi + 1)], (lo, hi)
 
     def test_against_factorint(self):

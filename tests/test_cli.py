@@ -201,6 +201,22 @@ class TestCensusCommand:
             assert out == ""
             assert "--checkpoints" in err
 
+    def test_shards_below_1_exit_2(self, capsys, monkeypatch):
+        from quatsurf import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the shard count must be refused before any work")
+
+        monkeypatch.setattr(cli, "construct_fields", unreachable)
+        monkeypatch.setattr(cli, "PrimePredicate", unreachable)
+        # at --x 1000 no density table runs, so the scan's own check is never reached
+        for x in ("1000", "1e6"):
+            for shards in ("0", "-3"):
+                code, out, err = run_cli(["census", "--delta", "-4", "--x", x, "--shards", shards], capsys)
+                assert code == 2, (x, shards)
+                assert out == ""
+                assert "--shards" in err
+
 
 class TestSurfacesDemoCommand:
     def test_n_one_values(self, capsys):

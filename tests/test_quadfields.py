@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from quatsurf import arith, quadfields
+from quatsurf.census import ramification_probability_check, wood_stats
 from quatsurf.quadfields import (
     QuadraticField,
     SplitType,
@@ -151,6 +153,27 @@ class TestDiscriminantEnumeration:
             with pytest.raises(ValueError, match="bad sign"):
                 list(discriminant_blocks(x, "complex"))
 
+    def test_bounds_above_2_53_refused_up_front(self):
+        # refused before the base primes are sieved: at 10^21 their strip alone
+        # would be sqrt(x) = 3.2 * 10^10 bytes
+        entry_points = (
+            count_fundamental_discriminants,
+            lambda x: list(discriminant_blocks(x)),
+            lambda x: list(fundamental_discriminants(x, "real")),
+            lambda x: wood_stats(37, [53], x),
+            lambda x: ramification_probability_check(3, x),
+        )
+        for x in (2**53 + 1, 10**21):
+            for i, call in enumerate(entry_points):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ValueError, match=r"2\^53"):
+                        call(x)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1 << 20, (x, i, peak)
+
     def test_tiny_blocks_match_bruteforce(self, monkeypatch):
         # x = 66 and 67 end exactly on and just past the edge of a 64-value block;
         # 1000 is no multiple of 16, so lo mod 16 moves from block to block
@@ -172,14 +195,22 @@ class TestDiscriminantEnumeration:
             assert np.flatnonzero(pos).tolist() == fundamental_discs_oracle(3000, "real"), block
 
     def test_one_strip_per_block(self, monkeypatch):
-        # D = -a and D = +a are both read off the odd-squarefree strip over a
-        strip, calls = quadfields._squarefree_strip, []
+        # D = -a and D = +a are both read off the odd-squarefree strip over a;
+        # the strips struck by primes are the base-prime sieve's, all before the first block
+        strike, calls = arith.strike_strip, []
+
+        def spy(lo, hi, primes, moduli):
+            calls.append((lo, hi, len(primes) > 0 and np.array_equal(moduli, primes**2)))
+            return strike(lo, hi, primes, moduli)
+
         monkeypatch.setattr(quadfields, "BLOCK", 64)
-        monkeypatch.setattr(quadfields, "_squarefree_strip", lambda lo, hi, *squares: calls.append((lo, hi)) or strip(lo, hi, *squares))
+        monkeypatch.setattr(arith, "strike_strip", spy)
         for sign in ("imaginary", "real", "both"):
             calls.clear()
             assert count_fundamental_discriminants(1000, sign) == len(fundamental_discs_oracle(1000, sign))
-            assert calls == [(lo, min(1000, lo + 63)) for lo in range(3, 1001, 64)], sign
+            blocks = [i for i, (_, _, squares) in enumerate(calls) if squares]
+            assert [calls[i][:2] for i in blocks] == [(lo, min(1000, lo + 63)) for lo in range(3, 1001, 64)], sign
+            assert blocks == list(range(blocks[0], len(calls))), sign
 
 
 class TestKroneckerRows:
