@@ -157,29 +157,17 @@ def _split(n: int) -> list[int]:
 
 def _pollard_brent(n: int) -> int:
     """A proper factor of an odd composite n: Brent's cycle search on
-    y -> y^2 + c mod n, with the gcds batched over runs of 128 steps; a batch
-    that overshoots to gcd n is replayed step by step, and a c that still
-    finds only n is replaced by c + 1."""
+    y -> y^2 + c mod n, comparing y with the point saved at each power-of-2
+    step, one gcd per step; a c whose gcd reaches n is replaced by c + 1."""
     for c in itertools.count(1):
-        y, r, q, g = 2, 1, 1, 1
+        x = y = 2
+        g, k = 1, 0
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+            if k & (k - 1) == 0:  # k = 0 or a power of 2: save the point
+                x = y
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+            k += 1
         if g != n:
             return g
 
@@ -244,36 +232,28 @@ def residues(n: int, ps: np.ndarray) -> np.ndarray:
 
 
 def mod_sqrt(a: int, p: int) -> int:
-    """One square root of a mod prime p; raises ValueError if a is a nonresidue."""
+    """One square root of a mod prime p by Tonelli-Shanks (Cohen, GTM 138, Alg.
+    1.5.1): with p - 1 = 2^s q, q odd, a^q has order 2^s exactly when a is a
+    nonresidue (ValueError), and a nonresidue z is sought only when a^q != 1."""
     a %= p
     if p == 2 or a == 0:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    if p % 8 == 5:
-        r = pow(a, (p + 3) // 8, p)
-        if r * r % p != a:
-            r = r * pow(2, (p - 1) // 4, p) % p
-        return r
-    # Tonelli-Shanks for p = 1 mod 8
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while kronecker(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
     r = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
     m = s
     while t != 1:
         t2i, i = t, 0
-        while t2i != 1:
+        while t2i != 1 and i < s:  # i < s only bounds the loop for a composite p
             t2i = t2i * t2i % p
             i += 1
+        if m == s:  # the first pass: t = a^q has order 2^i
+            if i == s:
+                raise ValueError(f"{a} is not a quadratic residue mod {p}")
+            c = pow(next(z for z in itertools.count(2) if kronecker(z, p) == -1), q, p)
         b = pow(c, 1 << (m - i - 1), p)
         r = r * b % p
         c = b * b % p

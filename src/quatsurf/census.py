@@ -14,10 +14,10 @@ come from the strip, and each fixed symbol (delta|p) or (x^2 - delta|p) is
 one quadfields.symbol_column of the discriminant of Q(sqrt(delta)) or
 Q(sqrt(x^2 - delta)).  Either way each generator left costs one power of
 x + sqrt(delta) in F_p[t]/(t^2 - delta), Euler's criterion in the split
-algebra, so no square root mod p is taken.  Single queries (in_P) keep the
-scalar test with exact modular arithmetic (arith.mod_sqrt) for primes of
-any size.  Squarefree integers supported on P are built level by level in
-numpy: the products of k + 1 distinct members from those of k.
+algebra, so no square root mod p is taken.  Single queries (in_P) take the
+Kronecker symbols (delta|p) and (x +- r|p) at r = arith.mod_sqrt(delta, p),
+exact for any p.  Squarefree integers supported on P are built level by level
+in numpy: the products of k + 1 distinct members from those of k.
 """
 
 import contextlib
@@ -44,16 +44,10 @@ def _nonsquare_at_all(delta: int, xs: tuple[int, ...], p: int) -> bool:
     conjugate must reduce to a nonsquare; conjugate symmetry makes the choice
     of the prime above p irrelevant.
     """
-    if pow(delta % p, (p - 1) // 2, p) != 1:
+    if arith.kronecker(delta, p) != 1:
         return False
-    r = arith.mod_sqrt(delta % p, p)
-    e = (p - 1) // 2
-    for x in xs:
-        if pow((x + r) % p, e, p) != p - 1:
-            return False
-        if pow((x - r) % p, e, p) != p - 1:
-            return False
-    return True
+    r = arith.mod_sqrt(delta, p)
+    return all(arith.kronecker(x + r, p) == arith.kronecker(x - r, p) == -1 for x in xs)
 
 
 SEGMENT = arith.SEGMENT

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
+from . import __version__, census
 from .census import (
     PrimePredicate,
     algebra_census,
@@ -175,6 +175,8 @@ def _cmd_census(args) -> int:
     # diagnostic tables run at the natural inner scale sqrt(x); the algebra
     # census itself keeps the strict |disc_f| < x cutoff
     scan_bound = math.isqrt(x_bound)
+    if scan_bound >= census.SCAN_LIMIT:
+        raise ValueError(f"--x must be below {census.SCAN_LIMIT}^2, the prime scan's int64 range, got {x_bound}")
     if args.checkpoints and min(args.checkpoints) < 2:
         # the ratio columns divide by log(checkpoint)
         raise ValueError(f"--checkpoints must be at least 2, got {min(args.checkpoints)}")

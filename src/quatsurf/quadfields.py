@@ -99,17 +99,14 @@ class PrimeOfK:
 def splitting(k: QuadraticField, p: int) -> SplitType:
     """Factorization type of the rational prime p in k.
 
-    Ramified iff p | delta; for odd p split iff delta is a nonzero square
-    mod p; for p = 2 split iff delta = 1 (mod 8).
+    Ramified iff p | delta, else split iff the Kronecker symbol (delta|p) is
+    1; at p = 2 that is delta = 1 (mod 8), as odd fundamental delta = 1 (mod 4).
     """
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    d = k.delta
-    if d % p == 0:
+    if k.delta % p == 0:
         return SplitType.RAMIFIED
-    if p == 2:
-        return SplitType.SPLIT if d % 8 == 1 else SplitType.INERT
-    return SplitType.SPLIT if arith.kronecker(d, p) == 1 else SplitType.INERT
+    return SplitType.SPLIT if arith.kronecker(k.delta, p) == 1 else SplitType.INERT
 
 
 def primes_above(k: QuadraticField, p: int) -> list[PrimeOfK]:
@@ -160,17 +157,21 @@ def _fundamental_blocks(x: int, sign: str = "both") -> Iterator[tuple[int, np.nd
     row per sign of _SIGNS[sign]: masks[j, i] true iff _SIGNS[sign][j] * (lo + i) is
     fundamental.  One arith.strike_strip per block marks the a free of odd prime
     squares, and each row copies it on the three _SIGN_CLASSES of its sign.  Memory
-    is one block of the strip and the rows plus the odd primes p <= sqrt(x) and p^2."""
+    is one block of the strip and the rows plus the odd primes p <= sqrt(x) and p^2.
+    A bad sign or x above 2^53 raises ValueError at the call, before any block."""
     if sign not in _SIGNS:
         raise ValueError(f"bad sign {sign!r}")
     if x > 2**53:
         raise ValueError(f"the |D| bound must be at most 2^53, got {x}")
     odd = arith.primes_up_to(math.isqrt(max(x, 0)))[1:]
-    squares = odd * odd
+    return _sign_blocks(x, _SIGNS[sign], odd, odd * odd)
+
+
+def _sign_blocks(x: int, signs: tuple[int, ...], odd: np.ndarray, squares: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     for lo in range(3, x + 1, BLOCK):
         sf = arith.strike_strip(lo, min(x, lo + BLOCK - 1), odd, squares)
-        masks = np.zeros((len(_SIGNS[sign]), len(sf)), dtype=bool)
-        for mask, s in zip(masks, _SIGNS[sign]):
+        masks = np.zeros((len(signs), len(sf)), dtype=bool)
+        for mask, s in zip(masks, signs):
             for m, r in _SIGN_CLASSES[s]:
                 mask[(r - lo) % m :: m] = sf[(r - lo) % m :: m]
         yield lo, masks
@@ -289,8 +290,9 @@ def symbol_column(disc: int, ps: np.ndarray) -> np.ndarray:
 def fundamental_masks(x: int):
     """(neg, pos) bool arrays over 0 <= a <= x, filled block by block: neg[a]
     (pos[a]) true iff -a (+a) is a fundamental discriminant."""
+    blocks = _fundamental_blocks(x)  # refuses a bad x before the masks exist
     masks = np.zeros((2, x + 1), dtype=bool)
-    for lo, block in _fundamental_blocks(x):
+    for lo, block in blocks:
         masks[:, lo : lo + block.shape[1]] = block
     return masks[0], masks[1]
 

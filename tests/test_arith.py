@@ -160,7 +160,7 @@ class TestKronecker:
 
 class TestModSqrt:
     def test_all_small_primes(self):
-        # exercises the p % 4 == 3, p % 8 == 5, and Tonelli-Shanks branches
+        # every residue class of p mod 8 takes the one Tonelli-Shanks path
         for p in (int(q) for q in arith.primes_up_to(300)):
             squares = {(t * t) % p for t in range(p)}
             for a in range(p):
@@ -177,6 +177,34 @@ class TestModSqrt:
                 if pow(a, (p - 1) // 2, p) == 1:
                     r = arith.mod_sqrt(a, p)
                     assert r * r % p == a
+
+    @pytest.mark.parametrize(
+        "p",
+        # p - 1 = 2^s q with s = 23 and s = 32, a Mersenne prime = 3 (mod 4), and a prime = 5 (mod 8) above 2^64
+        [998244353, 2**64 - 2**32 + 1, 2**89 - 1, 2**64 + 13],
+    )
+    def test_large_primes(self, p):
+        assert sympy.isprime(p)
+        rng = random.Random(p)
+        squares = [rng.randrange(1, p) ** 2 % p for _ in range(60)]
+        cases = squares + [rng.randrange(1, p) for _ in range(120)] + [2, 3, p - 1, p + 2, -3]
+        nonresidues = 0
+        for a in cases:
+            if pow(a, (p - 1) // 2, p) == p - 1:
+                nonresidues += 1
+                with pytest.raises(ValueError, match="not a quadratic residue"):
+                    arith.mod_sqrt(a, p)
+            else:
+                r = arith.mod_sqrt(a, p)
+                assert 0 <= r < p and r * r % p == a % p, (a, p)
+        assert 0 < nonresidues < len(cases) - len(squares)
+
+    def test_composite_modulus_order_loop_ends(self):
+        # outside the contract (p prime): the order of a^q is sought among 2^0..2^s
+        # only, so these raise as the Euler test used to instead of squaring forever
+        for a, p in ((3, 9), (2, 15), (5, 21), (3, 45)):
+            with pytest.raises(ValueError):
+                arith.mod_sqrt(a, p)
 
 
 class TestFactorizationHelpers:

@@ -217,6 +217,27 @@ class TestCensusCommand:
                 assert out == ""
                 assert "--shards" in err
 
+    def test_x_beyond_scan_range_exit_2(self, capsys, monkeypatch):
+        from quatsurf import cli
+        from quatsurf.census import SCAN_LIMIT
+
+        class Reached(Exception):
+            pass
+
+        def unreachable(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "construct_fields", unreachable)
+        monkeypatch.setattr(cli, "PrimePredicate", unreachable)
+        # the scan runs to isqrt(--x), so x = SCAN_LIMIT^2 is the first refused
+        for x in ("1e19", str(SCAN_LIMIT**2), "1e30"):
+            code, out, err = run_cli(["census", "--delta", "-4", "--n", "1", "--x", x], capsys)
+            assert code == 2, x
+            assert out == ""
+            assert "--x" in err
+        with pytest.raises(Reached):
+            run_cli(["census", "--delta", "-4", "--n", "1", "--x", str(SCAN_LIMIT**2 - 1)], capsys)
+
 
 class TestSurfacesDemoCommand:
     def test_n_one_values(self, capsys):

@@ -155,13 +155,15 @@ class TestDiscriminantEnumeration:
 
     def test_bounds_above_2_53_refused_up_front(self):
         # refused before the base primes are sieved: at 10^21 their strip alone
-        # would be sqrt(x) = 3.2 * 10^10 bytes
+        # would be sqrt(x) = 3.2 * 10^10 bytes, and fundamental_masks' (2, x + 1)
+        # mask 16 PiB at 2^53 + 1
         entry_points = (
             count_fundamental_discriminants,
             lambda x: list(discriminant_blocks(x)),
             lambda x: list(fundamental_discriminants(x, "real")),
             lambda x: wood_stats(37, [53], x),
             lambda x: ramification_probability_check(3, x),
+            fundamental_masks,
         )
         for x in (2**53 + 1, 10**21):
             for i, call in enumerate(entry_points):
