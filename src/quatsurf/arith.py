@@ -234,7 +234,8 @@ def residues(n: int, ps: np.ndarray) -> np.ndarray:
 def mod_sqrt(a: int, p: int) -> int:
     """One square root of a mod prime p by Tonelli-Shanks (Cohen, GTM 138, Alg.
     1.5.1): with p - 1 = 2^s q, q odd, a^q has order 2^s exactly when a is a
-    nonresidue (ValueError), and a nonresidue z is sought only when a^q != 1."""
+    nonresidue (ValueError), and a nonresidue z < p is sought only when a^q != 1.
+    A composite p gets a checked root or ValueError, in at most s passes."""
     a %= p
     if p == 2 or a == 0:
         return a
@@ -253,10 +254,17 @@ def mod_sqrt(a: int, p: int) -> int:
         if m == s:  # the first pass: t = a^q has order 2^i
             if i == s:
                 raise ValueError(f"{a} is not a quadratic residue mod {p}")
-            c = pow(next(z for z in itertools.count(2) if kronecker(z, p) == -1), q, p)
+            z = next((z for z in range(2, p) if kronecker(z, p) == -1), 0)
+            if not z:
+                raise ValueError(f"no nonresidue mod {p}: {p} is not prime")
+            c = pow(z, q, p)
+        elif i >= m:  # the order of t failed to drop, which no prime p allows
+            break
         b = pow(c, 1 << (m - i - 1), p)
         r = r * b % p
         c = b * b % p
         t = t * c % p
         m = i
+    if r * r % p != a:
+        raise ValueError(f"no square root of {a} mod {p} found: {p} is not prime")
     return r

@@ -328,25 +328,21 @@ def default_checkpoints(bound: int, start: int = 100) -> list[int]:
     return cps
 
 
-def prime_density_report(
-    pred: PrimePredicate,
-    bound: int,
-    checkpoints: Sequence[int] | None = None,
-    shards: int = 1,
-    progress: Callable[[int], None] | None = None,
-) -> DensityReport:
+def prime_density_report(pred: PrimePredicate, bound: int, checkpoints: Sequence[int] | None = None) -> DensityReport:
     """Counts of P up to geometric checkpoints, normalized by x/log(x).
 
     For a family of n extensions the normalized count approaches 1/2^(2n+1):
     split primes have density 1/2 and each of the 2n nonsquare conditions
-    halves it again.
+    halves it again.  The counts read pred.members_up_to(bound), which scans
+    only past what the predicate has cached: a caller that wants shards or
+    progress scans first with members_up_to(bound, shards=..., progress=...).
     """
     if bound < 100:
         raise ValueError("bound too small to say anything")
     cps = sorted(set(checkpoints)) if checkpoints else default_checkpoints(bound)
     if cps[-1] > bound:
         raise ValueError("checkpoint beyond the scan bound")
-    members = pred.members_up_to(bound, shards=shards, progress=progress)
+    members = pred.members_up_to(bound)
     rows = []
     for c in cps:
         count = int(np.searchsorted(members, c, side="right"))
@@ -443,21 +439,18 @@ class AlgebraCensus:
         return len(self.algebras)
 
 
-def algebra_census(
-    delta_k: int, exts: Sequence[RelQuadExt], x_bound: int, pred: PrimePredicate | None = None
-) -> AlgebraCensus:
-    """All admissible algebras over k with |disc_f| < x_bound.
+def algebra_census(pred: PrimePredicate, x_bound: int) -> AlgebraCensus:
+    """All admissible algebras over k with |disc_f| < x_bound, for the family
+    of pred (its base field k and extensions).
 
     One algebra per squarefree d supported on P: its ramification is the full
     conjugate pair above each p | d, so |disc_f| = d^2 and the census range is
-    d <= sqrt(x_bound - 1).  Every algebra is checked against the embedding
+    d <= sqrt(x_bound - 1), read from pred's scan cache (scanning past it
+    first, without shards).  Every algebra is checked against the embedding
     criterion for each member extension and against the pairing test; both
     are automatic, so a failure raises VerificationError.
     """
-    if pred is None:
-        pred = PrimePredicate(delta_k, exts)
-    elif pred.delta_k != delta_k or pred.xs != tuple(e.x for e in exts):
-        raise ValueError("predicate does not match the extension family")
+    delta_k = pred.delta_k
     k = QuadraticField(delta_k)
     d_max = math.isqrt(max(0, x_bound - 1))
     ds = squarefree_values(pred, d_max)

@@ -38,7 +38,7 @@ from .census import (
 from .errors import BoundsTooSmall, SearchCapExceeded, VerificationError
 from .fieldforge import construct_fields
 from .geodesics import geodesic_length_real_quadratic, height_and_length_bounds, surface_obstruction
-from .primeforge import nth_prime_in_ap, select_q_primes, verify_splitting_matrix
+from .primeforge import select_q_primes, verify_splitting_matrix
 from .quadfields import QuadraticField, SplitType, primes_above, splitting
 from .quatalg import QuatAlgK, QuatAlgQ, embeds, fuchsian_admissible, recover_ramification
 from .volumes import fuchsian_coarea
@@ -78,28 +78,21 @@ def _emit(args, command: str, columns: list[str], rows: list[dict], extra_manife
             sort_keys=True,
             indent=2,
         )
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            (Path(args.out) / f"{command}.json").write_text(doc + "\n")
-        else:
-            sys.stdout.write(doc + "\n")
-        return
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(c)) for c in columns])
-    data = buf.getvalue()
-    manifest_doc = json.dumps(manifest, sort_keys=True)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{command}.csv").write_text(data)
-        (out / "manifest.json").write_text(manifest_doc + "\n")
+        docs = [(f"{command}.json", doc + "\n", sys.stdout)]
     else:
-        sys.stdout.write(data)
-        sys.stderr.write(manifest_doc + "\n")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(row.get(c)) for c in columns])
+        docs = [(f"{command}.csv", buf.getvalue(), sys.stdout), ("manifest.json", json.dumps(manifest, sort_keys=True) + "\n", sys.stderr)]
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        for name, text, _ in docs:
+            (Path(args.out) / name).write_text(text)
+    else:
+        for _, text, stream in docs:
+            stream.write(text)
 
 
 # --- construct-fields ---------------------------------------------------------
@@ -192,17 +185,18 @@ def _cmd_census(args) -> int:
         def progress(upto):
             sys.stderr.write(f"scanned primes to {upto}\n")
 
-    checkpoints = sorted(set(args.checkpoints)) if args.checkpoints else None
+    # every table below reads this one scan of P from the predicate's cache
+    pred.members_up_to(scan_bound, shards=args.shards, progress=progress)
+    checkpoints = sorted(set(args.checkpoints)) if args.checkpoints else default_checkpoints(scan_bound)
 
     rows = []
     if scan_bound >= 100:
-        density = prime_density_report(pred, scan_bound, checkpoints, shards=args.shards, progress=progress)
+        density = prime_density_report(pred, scan_bound, checkpoints)
         for r in density.rows:
             rows.append({"table": "prime_density", "checkpoint": r.checkpoint, "count": r.count, "ratio": r.ratio})
 
-    sf_checkpoints = checkpoints or default_checkpoints(scan_bound)
     counts = []
-    for c in sf_checkpoints:
+    for c in checkpoints:
         n_c = count_squarefree_over_P(pred, c)
         counts.append((c, n_c))
         rows.append(
@@ -218,7 +212,7 @@ def _cmd_census(args) -> int:
         rows.append({"table": "mean_value_fit", "checkpoint": scan_bound, "count": None, "ratio": fit.constant})
 
     cutoff = min(x_bound, 10**8)  # keep the explicit algebra list small
-    cens = algebra_census(args.delta, exts, cutoff, pred=pred)
+    cens = algebra_census(pred, cutoff)
     rows.append(
         {
             "table": "algebra_census",
@@ -294,9 +288,8 @@ def _cmd_surfaces_demo(args) -> int:
     rows.append({"table": "bounds", "key": "log_max_q_over_n_log_n", "value": math.log(selection.max_q) / (n * math.log(n)) if n > 1 else None})
 
     if args.linnik_report:
-        for i in range(1, n + 1):
-            p, ratio = nth_prime_in_ap(1, 4, i)
-            rows.append({"table": "linnik", "key": "p_over_i_log_2i", "i": i, "value": ratio})
+        for i, p in enumerate(ps, start=1):
+            rows.append({"table": "linnik", "key": "p_over_i_log_2i", "i": i, "value": p / (i * math.log(2 * i))})
 
     _emit(args, "surfaces-demo", _DEMO_COLUMNS, rows, {"q_final": q_final})
     return EXIT_OK

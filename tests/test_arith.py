@@ -206,6 +206,16 @@ class TestModSqrt:
             with pytest.raises(ValueError):
                 arith.mod_sqrt(a, p)
 
+    def test_composite_modulus_terminates(self):
+        # no nonresidue search may run past p: every input ends in a checked root or ValueError
+        for p in (n for n in range(9, 400, 2) if not arith.is_prime(n)):
+            for a in range(p):
+                try:
+                    r = arith.mod_sqrt(a, p)
+                except ValueError:
+                    continue
+                assert 0 <= r < p and r * r % p == a, (a, p)
+
 
 class TestFactorizationHelpers:
     def test_factorize_round_trip(self):

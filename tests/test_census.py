@@ -397,14 +397,14 @@ class TestMeanValueFit:
 
 class TestAlgebraCensus:
     def test_threshold_examples(self, family_n1):
-        census = algebra_census(-4, family_n1.extensions, 1682)
+        census = algebra_census(PrimePredicate(-4, family_n1.extensions), 1682)
         assert census.count == 1
         assert census.d_values == [41]
         assert census.algebras[0].disc_f_abs == 41**2
-        assert algebra_census(-4, family_n1.extensions, 1600).count == 0
+        assert algebra_census(PrimePredicate(-4, family_n1.extensions), 1600).count == 0
 
     def test_every_algebra_verified(self, family_n1, predicate_n1):
-        census = algebra_census(-4, family_n1.extensions, 10**6, pred=predicate_n1)
+        census = algebra_census(predicate_n1, 10**6)
         assert census.count == count_squarefree_over_P(predicate_n1, math.isqrt(10**6 - 1))
         for alg in census.algebras:
             assert fuchsian_admissible(alg)
@@ -414,10 +414,6 @@ class TestAlgebraCensus:
         for i, a in enumerate(census.algebras):
             for b in census.algebras[i + 1 :]:
                 assert not is_isomorphic(a, b)
-
-    def test_predicate_mismatch_rejected(self, family_n1):
-        with pytest.raises(ValueError):
-            algebra_census(-4, [], 100, pred=PrimePredicate(-4, family_n1.extensions))
 
     @pytest.mark.parametrize(
         "d, message",
@@ -430,7 +426,7 @@ class TestAlgebraCensus:
         # the squarefree values are the producer one step upstream: let a d off P through
         monkeypatch.setattr(census, "squarefree_values", lambda pred, bound: [d])
         with pytest.raises(VerificationError, match=message):
-            algebra_census(-4, family_n1.extensions, 10**4)
+            algebra_census(PrimePredicate(-4, family_n1.extensions), 10**4)
         assert cli.main(["census", "--delta", "-4", "--n", "1", "--x", "1e4"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and f"census algebra for d={d} {message}" in err

@@ -148,6 +148,30 @@ class TestCensusCommand:
         assert noisy_out == plain_out
         assert "scanned primes to" in noisy_err
 
+    def test_one_scan_per_run(self, capsys, monkeypatch):
+        # every table reads one scan of P, also where isqrt(x) < 100 leaves out
+        # the density table and the squarefree checkpoints set the bounds
+        from quatsurf.census import PrimePredicate
+
+        scans = []
+        segment_scan = PrimePredicate._segment_scan
+
+        def spy(pred):
+            scans.append(pred)
+            return segment_scan(pred)
+
+        monkeypatch.setattr(PrimePredicate, "_segment_scan", spy)
+        base = ["census", "--delta", "-4", "--n", "1", "--x"]
+        for flags in (["5000", "--checkpoints", "10,30,70"], ["1e6"], ["1e8"]):
+            scans.clear()
+            code, _, _ = run_cli(base + flags, capsys)
+            assert code == 0 and len(scans) == 1, flags
+        _, plain_out, _ = run_cli(base + ["5000"], capsys)
+        _, noisy_out, noisy_err = run_cli(base + ["5000", "--progress"], capsys)
+        assert noisy_out == plain_out
+        assert "scanned primes to 70\n" in noisy_err
+        assert run_cli(base + ["5000", "--shards", "2"], capsys)[1] == plain_out
+
     def test_bad_scan_requests_exit_2(self, capsys):
         for extra in (["--x", "1e6", "--shards", "0"], ["--x", "1e20"]):
             code, _, err = run_cli(["census", "--delta", "-4", "--n", "1"] + extra, capsys)
@@ -209,7 +233,7 @@ class TestCensusCommand:
 
         monkeypatch.setattr(cli, "construct_fields", unreachable)
         monkeypatch.setattr(cli, "PrimePredicate", unreachable)
-        # at --x 1000 no density table runs, so the scan's own check is never reached
+        # refused up front at every --x, before the family is built or P scanned
         for x in ("1000", "1e6"):
             for shards in ("0", "-3"):
                 code, out, err = run_cli(["census", "--delta", "-4", "--x", x, "--shards", shards], capsys)
@@ -387,6 +411,35 @@ class TestRecoverCommand:
             sizes.append(len([r for r in parse_csv(out) if r["table"] == "recovered"]))
         assert sizes == sorted(sizes, reverse=True)
         assert all(s >= 1 for s in sizes)
+
+
+class TestOutputModes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "--delta", "-4", "--n", "1", "--x", "1e6"],
+            ["recover", "--delta", "-4", "--pairs", "5", "13", "--d-bound", "2000"],
+        ],
+    )
+    def test_out_files_match_streams(self, argv, capsys, tmp_path):
+        # CSV: data on stdout, manifest on stderr; --json: one document on stdout;
+        # --out DIR writes the same bytes to files instead
+        command = argv[0]
+        code, csv_out, csv_err = run_cli(argv, capsys)
+        assert code == 0 and csv_out.startswith("table,")
+        code, json_out, json_err = run_cli(argv + ["--json"], capsys)
+        assert code == 0 and json_err == ""
+        assert json.loads(json_out)["manifest"] == json.loads(csv_err)
+
+        code, out, err = run_cli(argv + ["--out", str(tmp_path / "csv")], capsys)
+        assert (code, out, err) == (0, "", "")
+        files = {f.name: f.read_bytes() for f in (tmp_path / "csv").iterdir()}
+        assert files == {f"{command}.csv": csv_out.encode(), "manifest.json": csv_err.encode()}
+
+        code, out, err = run_cli(argv + ["--out", str(tmp_path / "json"), "--json"], capsys)
+        assert (code, out, err) == (0, "", "")
+        files = {f.name: f.read_bytes() for f in (tmp_path / "json").iterdir()}
+        assert files == {f"{command}.json": json_out.encode()}
 
 
 class TestDeterminism:

@@ -143,9 +143,9 @@ class TestKleinianCovolume:
 
     def test_census_bound_uniform(self, family_n1):
         # covolume <= c_k * |disc_f| with the one c_k valid across the census
-        from quatsurf.census import algebra_census
+        from quatsurf.census import PrimePredicate, algebra_census
 
-        census = algebra_census(-4, family_n1.extensions, 10**7)
+        census = algebra_census(PrimePredicate(-4, family_n1.extensions), 10**7)
         assert census.count >= 3
         ratios = [kleinian_covolume(a).value / a.disc_f_abs for a in census.algebras]
         c_k = max(ratios)
