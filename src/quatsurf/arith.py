@@ -48,7 +48,8 @@ def strike_strip(lo: int, hi: int, primes: np.ndarray, moduli: np.ndarray) -> np
     ones, which strike at most once.  Memory is the strip plus O(len(moduli))."""
     strip = np.ones(max(0, hi - lo + 1), dtype=bool)
     k = bisect.bisect_right(moduli, len(strip))  # moduli[:k] are short
-    for p, m in zip(primes[:k].tolist(), moduli[:k].tolist()):  # from the first multiple at or above max(lo, p^2)
+    short = primes[:k].tolist()
+    for p, m in zip(short, short if moduli is primes else moduli[:k].tolist()):  # from the first multiple at or above max(lo, p^2)
         strip[(-lo) % m if p * p <= lo else -(-p * p // m) * m - lo :: m] = False
     if k < len(moduli):  # skipped when all are short, so such strips make no further numpy call
         first = (-lo) % moduli[k:]  # lo + first is each long modulus' first multiple at or above lo
@@ -252,8 +253,10 @@ def mod_sqrt(a: int, p: int) -> int:
             t2i = t2i * t2i % p
             i += 1
         if m == s:  # the first pass: t = a^q has order 2^i
-            if i == s:
-                raise ValueError(f"{a} is not a quadratic residue mod {p}")
+            if i == s:  # a nonresidue for a prime p; a composite p may still have a root
+                if is_prime(p):
+                    raise ValueError(f"{a} is not a quadratic residue mod {p}")
+                raise ValueError(f"no square root of {a} mod {p} found: {p} is not prime")
             z = next((z for z in range(2, p) if kronecker(z, p) == -1), 0)
             if not z:
                 raise ValueError(f"no nonresidue mod {p}: {p} is not prime")

@@ -186,8 +186,8 @@ def discriminant_blocks(x: int, sign: str = "both") -> Iterator[np.ndarray]:
         yield (lo + i) * np.array(_SIGNS[sign])[row]
 
 
-CHI_BLOCK = 1 << 16
-"""Residues per block of the character walks: kronecker_table's squares and character_blocks."""
+CHI_BLOCK = 1 << 13
+"""Residues per block of kronecker_table and character_blocks: a 64 KB float64 block, cache-resident and under glibc's mmap threshold."""
 
 
 def kronecker_table(p: int) -> np.ndarray:

@@ -96,17 +96,31 @@ class TestDirichletL2:
         monkeypatch.setattr(quadfields, "CHI_BLOCK", 64)
         assert abs(dirichlet_L2(delta, 1e-10) - dirichlet_L2_oracle(delta)) <= 1e-10
 
-    def test_memory_is_one_table_and_one_block(self):
-        # whole-period arrays took ~39 bytes per unit of |delta|, about 38 MiB here;
-        # the blocked sum holds the 1 MB kronecker_table(1000007) and one block
+    # an odd delta < 0 (7 * 71429), a -4m (m = 11 * 9091) and a +8m (m = 100003)
+    @pytest.mark.parametrize("delta", [-500003, -400004, 800024])
+    def test_block_size_leaves_value(self, monkeypatch, delta):
+        sums = []
+        for block in (64, 1 << 13, 1 << 16):
+            monkeypatch.setattr(quadfields, "CHI_BLOCK", block)
+            sums.append(dirichlet_L2(delta))
+        assert max(sums) - min(sums) <= 1e-13, sums
+
+    # -1000003 is prime (a 1 MB kronecker_table), -1000007 = -29 * 34483 (34 KB),
+    # -1000011 = -3 * 333337 (333 KB); whole-period arrays took ~39 bytes per unit
+    # of |delta|, about 38 MiB here, and one 2^16-residue block over 3 MiB; the values
+    # at -1000003 and -1000011 are Hurwitz zeta period sums as in dirichlet_L2_oracle
+    # (mpmath at 25 digits, about 15 minutes each)
+    @pytest.mark.parametrize("delta", [-1000003, -1000007, -1000011])
+    def test_memory_is_one_table_and_one_block(self, delta):
+        want = {-1000003: 0.6752204544954221, -1000007: 1.4188481402565414, -1000011: 0.8533807032261189}[delta]
         tracemalloc.start()
         try:
-            got = dirichlet_L2(-1000007)
+            got = dirichlet_L2(delta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert abs(got - 1.4188481402565414) <= 1e-12
-        assert peak < 6 * 2**20, peak
+        assert abs(got - want) <= 1e-12
+        assert peak < max(arith.factorize(delta)) + 2**20, peak
 
     def test_cap_refused_before_any_work(self, monkeypatch):
         def factorize(n):
