@@ -32,7 +32,7 @@ import numpy as np
 
 from . import arith, quadfields
 from .errors import BoundaryPrimeError, VerificationError
-from .quadfields import QuadraticField, kronecker_row, periodic_window, primes_above, symbol_column
+from .quadfields import QuadraticField, kronecker_row, primes_above, symbol_column
 from .quatalg import QuatAlgK, embeds, fuchsian_admissible
 from .relquad import RelQuadExt
 
@@ -486,11 +486,13 @@ def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats
     count 0 and predicted 0.
 
     Reads the imaginary row of _fundamental_blocks.  (-a|q) depends on a mod m,
-    m = q (8 for q = 2), so a condition with q <= BLOCK is a periodic 0/1 int8
-    pattern, one kronecker_row over a period built once; periodic_window ANDs
-    the patterns over each block, so memory is bounded by BLOCK and sqrt(x)
-    however many primes are listed.  A q > BLOCK falls back to kronecker_row on
-    the survivors of the short conditions, the only discriminant values built.
+    m = q (8 for q = 2), so a condition with q <= BLOCK is a periodic bool
+    pattern, one kronecker_row over a period, built once per call as a run of
+    m + BLOCK entries (quadfields._periodic_run); each block ANDs the slice of
+    each run at lo mod m into the row in place, so memory is bounded by BLOCK,
+    sqrt(x) and the runs, and no block allocates a window.  A q > BLOCK falls
+    back to kronecker_row on the survivors of the short conditions, the only
+    discriminant values built.
     """
     if x < 10**4:
         raise ValueError("x too small for meaningful statistics")
@@ -504,11 +506,14 @@ def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats
     if q_split is not None and q_split in q_inert:
         return WoodStats(0, 0.0, None)
 
-    short = [(kronecker_row(-np.arange(8 if q == 2 else q), q) == symbol).astype(np.int8) for q, symbol in conditions if q <= quadfields.BLOCK]
+    n = min(x, quadfields.BLOCK)
+    patterns = [kronecker_row(-np.arange(8 if q == 2 else q), q) == symbol for q, symbol in conditions if q <= quadfields.BLOCK]
+    short = [(len(pattern), quadfields._periodic_run(pattern, n)) for pattern in patterns]
     long = [(q, symbol) for q, symbol in conditions if q > quadfields.BLOCK]
     count = 0
     for lo, (neg,) in quadfields._fundamental_blocks(x, "imaginary"):
-        neg &= periodic_window(short, lo, len(neg)).view(bool)  # 0/1 int8 reads as bool
+        for m, run in short:
+            neg &= run[lo % m :][: len(neg)]
         if long:
             discs = -(lo + np.flatnonzero(neg))
             for q, symbol in long:

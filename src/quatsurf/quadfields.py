@@ -140,8 +140,8 @@ def split_primes_prefix(k: QuadraticField, n: int) -> SplitPrimePrefix:
     return SplitPrimePrefix(found, found[-1] / (n * math.log(2 * n)))
 
 
-BLOCK = 1 << 20
-"""Values of |D| per block of the discriminant engine (one 1 MB bool strip)."""
+BLOCK = 1 << 16
+"""Values of |D| per block of the discriminant engine: a 64 KB bool strip, under glibc's mmap threshold, so blocks reuse freed heap."""
 
 _SIGN_CLASSES = {-1: ((4, 3), (16, 4), (16, 8)), 1: ((4, 1), (16, 8), (16, 12))}
 """The (modulus, residue) classes of a = |D| for which D = -a (D = +a) is fundamental
@@ -152,28 +152,38 @@ _SIGNS = {"imaginary": (-1,), "real": (1,), "both": (-1, 1)}
 """The signs of the rows of _fundamental_blocks for each sign selection."""
 
 
+def _periodic_run(pattern: np.ndarray, n: int) -> np.ndarray:
+    """pattern repeated to len(pattern) + n entries, so that run[lo % m :][:k] with
+    m = len(pattern) and k <= n is pattern[(lo + i) % m] for 0 <= i < k: a window
+    of the pattern at any offset is one slice, with no per-window copy."""
+    return np.resize(pattern, len(pattern) + n)
+
+
 def _fundamental_blocks(x: int, sign: str = "both") -> Iterator[tuple[int, np.ndarray]]:
     """(lo, masks) per block of BLOCK values a = lo, lo + 1, ... of 3 <= a <= x, one
     row per sign of _SIGNS[sign]: masks[j, i] true iff _SIGNS[sign][j] * (lo + i) is
     fundamental.  One arith.strike_strip per block marks the a free of odd prime
-    squares, and each row copies it on the three _SIGN_CLASSES of its sign.  Memory
-    is one block of the strip and the rows plus the odd primes p <= sqrt(x) and p^2.
+    squares, and each row is that strip ANDed with its sign's period-16 class pattern
+    (_SIGN_CLASSES), built once per call as a _periodic_run and read at lo mod 16.
+    One sign ANDs into the strip itself and yields it as a (1, n) view.  Memory is
+    one block of the strip and the rows plus the odd primes p <= sqrt(x) and p^2.
     A bad sign or x above 2^53 raises ValueError at the call, before any block."""
     if sign not in _SIGNS:
         raise ValueError(f"bad sign {sign!r}")
     if x > 2**53:
         raise ValueError(f"the |D| bound must be at most 2^53, got {x}")
     odd = arith.primes_up_to(math.isqrt(max(x, 0)))[1:]
-    return _sign_blocks(x, _SIGNS[sign], odd, odd * odd)
+    n, a = min(max(x, 0), BLOCK), np.arange(16)
+    rows = [_periodic_run(np.any([a % m == r for m, r in _SIGN_CLASSES[s]], axis=0), n) for s in _SIGNS[sign]]
+    return _sign_blocks(x, BLOCK, rows, odd, odd * odd)
 
 
-def _sign_blocks(x: int, signs: tuple[int, ...], odd: np.ndarray, squares: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    for lo in range(3, x + 1, BLOCK):
-        sf = arith.strike_strip(lo, min(x, lo + BLOCK - 1), odd, squares)
-        masks = np.zeros((len(signs), len(sf)), dtype=bool)
-        for mask, s in zip(masks, signs):
-            for m, r in _SIGN_CLASSES[s]:
-                mask[(r - lo) % m :: m] = sf[(r - lo) % m :: m]
+def _sign_blocks(x: int, block: int, rows: list[np.ndarray], odd: np.ndarray, squares: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    for lo in range(3, x + 1, block):
+        sf = arith.strike_strip(lo, min(x, lo + block - 1), odd, squares)
+        masks = sf[None] if len(rows) == 1 else np.empty((len(rows), len(sf)), dtype=bool)
+        for mask, row in zip(masks, rows):
+            np.logical_and(sf, row[lo % 16 :][: len(sf)], out=mask)
         yield lo, masks
 
 
@@ -227,7 +237,9 @@ def periodic_window(parts: list[np.ndarray], lo: int, n: int) -> np.ndarray:
     """prod_t t[(lo + i) mod len(t)] over the int8 tables t of parts, for 0 <= i < n,
     as int8 (all ones for no tables): each table is rotated to start at lo mod its
     period (cut to n when the period is longer) and tiled, so no index array is
-    formed.  Characters multiply their +-1/0 tables; 0/1 tables multiply to an AND."""
+    formed.  It serves the characters, whose +-1/0 tables are as long as their
+    primes, so a _periodic_run of one would copy the whole table; short 0/1
+    patterns read as _periodic_run slices instead."""
     chi = np.ones(n, dtype=np.int8)
     for t in parts:
         s = lo % len(t)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from sympy import nextprime, prevprime
 
 from quatsurf import arith, census, cli, quadfields
 from quatsurf.census import (
@@ -486,8 +487,14 @@ class TestWoodStats:
 
 
 # q = 2, q = 3, the primes just below and just above BLOCK, and one far past it; x spans
-# several blocks, so the offset lo % q of each pattern moves and wraps from block to block
-WOOD_BLOCKS = {64: (61, 67, 10**4 + 17), 1000: (997, 1009, 10**4 + 17), quadfields.BLOCK: (1048573, 1048583, 3 * 10**6 + 1)}
+# at least three blocks, so the offset lo % q of each pattern moves and wraps from block
+# to block.  The live BLOCK takes its own edge primes; 2^20, its former size, stays covered.
+WOOD_BLOCKS = {
+    64: (61, 67, 10**4 + 17),
+    1000: (997, 1009, 10**4 + 17),
+    quadfields.BLOCK: (prevprime(quadfields.BLOCK), nextprime(quadfields.BLOCK), 3 * quadfields.BLOCK + 17),
+    1 << 20: (1048573, 1048583, 3 * 10**6 + 1),
+}
 
 
 class TestWoodStatsMasks:
@@ -499,6 +506,33 @@ class TestWoodStatsMasks:
         monkeypatch.setattr(quadfields, "BLOCK", block)
         for q_split, q_inert in ((q, []), (None, [q]), (5, [q, 7]), (q, [5, 11])):
             assert wood_stats(q_split, q_inert, x).count == wood_count_oracle(q_split, q_inert, x), (q_split, q_inert)
+
+
+class TestBlockEngine:
+    def test_memory_bounded_by_block(self):
+        # each block ANDs period runs built once per call into its strip in place; with
+        # 2^20-value blocks and a window product per block the peaks read 4-5 MiB
+        import tracemalloc
+
+        x = 3 * 2**20 + 5
+        for name, call in (("wood_stats", lambda: wood_stats(37, [53, 59, 139, 101], x)), ("count", lambda: quadfields.count_fundamental_discriminants(x))):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (name, peak)
+
+    def test_block_size_invariant(self, monkeypatch):
+        # 1000 is no multiple of 16 nor of any q below, so lo % 16 and lo % q wrap between blocks
+        x = 2**20 + 5
+        seen = {}
+        for block in (1000, 1 << 16, 1 << 20):
+            monkeypatch.setattr(quadfields, "BLOCK", block)
+            counts = tuple(quadfields.count_fundamental_discriminants(x, sign) for sign in ("imaginary", "real", "both"))
+            seen[block] = (counts, wood_stats(37, [53, 59, 139, 101], x), ramification_probability_check(3, x))
+        assert seen[1000] == seen[1 << 16] == seen[1 << 20], seen
 
 
 class TestRamificationProbability:
