@@ -16,8 +16,9 @@ Q(sqrt(x^2 - delta)).  Either way each generator left costs one power of
 x + sqrt(delta) in F_p[t]/(t^2 - delta), Euler's criterion in the split
 algebra, so no square root mod p is taken.  Single queries (in_P) take the
 Kronecker symbols (delta|p) and (x +- r|p) at r = arith.mod_sqrt(delta, p),
-exact for any p.  Squarefree integers supported on P are built level by level
-in numpy: the products of k + 1 distinct members from those of k.
+exact for any p.  Squarefree integers supported on P are products of distinct
+members, expanded level by level in numpy; counts expand only the products
+that have children of their own and count the rest by searchsorted.
 """
 
 import contextlib
@@ -35,19 +36,6 @@ from .errors import BoundaryPrimeError, VerificationError
 from .quadfields import QuadraticField, kronecker_row, primes_above, symbol_column
 from .quatalg import QuatAlgK, embeds, fuchsian_admissible
 from .relquad import RelQuadExt
-
-
-def _nonsquare_at_all(delta: int, xs: tuple[int, ...], p: int) -> bool:
-    """Core membership test at an odd prime p outside the boundary set.
-
-    p must split in k, and at a fixed prime of k above p every beta and
-    conjugate must reduce to a nonsquare; conjugate symmetry makes the choice
-    of the prime above p irrelevant.
-    """
-    if arith.kronecker(delta, p) != 1:
-        return False
-    r = arith.mod_sqrt(delta, p)
-    return all(arith.kronecker(x + r, p) == arith.kronecker(x - r, p) == -1 for x in xs)
 
 
 SEGMENT = arith.SEGMENT
@@ -78,8 +66,11 @@ TABLE_MODULUS = 64
 """Largest modulus M of an admitted-class table: its M^2 classes take one pair
 of Jacobi symbols each (0.6-3 ms for M = 20 to 48, 0.1 s at M = 260)."""
 
-WALK_CHUNK = 1 << 15
-"""Lattice points per repeat/cumsum expansion of the principal-form walk."""
+WALK_CHUNK = 1 << 13
+"""Lattice points per repeat/cumsum expansion of the principal-form walk, and
+runs per block of b: each int64 array of a block or a chunk is 64 KB, under
+glibc's 128 KiB mmap threshold, so chunks reuse freed heap pages instead of
+mapping fresh ones."""
 
 
 def _table_plan(delta: int, xs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -146,7 +137,8 @@ def _walk_segment(delta: int, table: np.ndarray, lo: int, hi: int) -> np.ndarray
     one run a0 + M*j.  The b are taken in blocks of at most WALK_CHUNK runs,
     and the runs expanded with repeat and cumsum at most WALK_CHUNK points at
     a time, so memory is the window's arith.prime_strip, which decides
-    primality, plus O(WALK_CHUNK) at any lo.
+    primality, plus a few int64 arrays of WALK_CHUNK entries at any lo, each
+    small enough to come from the heap rather than fresh mapped pages.
     """
     M = len(table)
     B, q = delta & 1, -delta
@@ -252,11 +244,17 @@ class PrimePredicate:
         self._scanned_to = 1
 
     def in_P(self, p: int) -> bool:
+        """Membership of the prime p: p must split in k, and at a fixed prime
+        of k above p every beta and conjugate must reduce to a nonsquare;
+        conjugate symmetry makes the choice of the prime above p irrelevant."""
         if not arith.is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p in self.boundary:
             raise BoundaryPrimeError(f"boundary prime {p} - excluded by convention")
-        return _nonsquare_at_all(self.delta_k, self.xs, p)
+        if arith.kronecker(self.delta_k, p) != 1:
+            return False
+        r = arith.mod_sqrt(self.delta_k, p)
+        return all(arith.kronecker(x + r, p) == arith.kronecker(x - r, p) == -1 for x in self.xs)
 
     def _segment_scan(self) -> Callable[[int, int], np.ndarray]:
         """_scan_segment(lo, hi) for this family, with the admitted-class table,
@@ -342,28 +340,25 @@ def prime_density_report(pred: PrimePredicate, bound: int, checkpoints: Sequence
     cps = sorted(set(checkpoints)) if checkpoints else default_checkpoints(bound)
     if cps[-1] > bound:
         raise ValueError("checkpoint beyond the scan bound")
-    members = pred.members_up_to(bound)
-    rows = []
-    for c in cps:
-        count = int(np.searchsorted(members, c, side="right"))
-        rows.append(DensityRow(c, count, count * math.log(c) / c))
-    return DensityReport(rows)
+    counts = np.searchsorted(pred.members_up_to(bound), cps, side="right").tolist()
+    return DensityReport([DensityRow(c, n, n * math.log(c) / c) for c, n in zip(cps, counts)])
 
 
-def _squarefree_levels(members: np.ndarray, bound: int):
-    """Products of k distinct members of the ascending int64 array members that
-    are <= bound, as one array per level k = 1, 2, ...
+def _squarefree_levels(members: np.ndarray, keys: np.ndarray, bound: int):
+    """Levels k = 0, 1, ... of products v of k distinct members of the
+    ascending int64 array members, as arrays (v, i) with members[i] the
+    largest factor of v; level 0 is the empty product v = 1, i = -1.
 
-    Each product v carries the index of its largest factor; its children are
-    v * m for the members m after that index with m <= bound // v, a run found
-    by searchsorted and expanded with repeat and cumsum.  Every product is at
-    most bound, so int64 stays exact for any scannable bound.
+    The children of v are v * members[j] for the j > i with
+    keys[j] <= bound // v, a run found by searchsorted in the ascending keys
+    and expanded with repeat and cumsum; keys = members gives every product
+    <= bound.  Every product is at most bound, so int64 stays exact for any
+    scannable bound.
     """
-    vals = members[: int(np.searchsorted(members, bound, side="right"))]
-    last = np.arange(len(vals))
+    vals, last = np.ones(1, dtype=np.int64), np.full(1, -1)
     while len(vals):
-        yield vals
-        counts = np.maximum(np.searchsorted(members, bound // vals, side="right") - last - 1, 0)
+        yield vals, last
+        counts = np.maximum(np.searchsorted(keys, bound // vals, side="right") - last - 1, 0)
         parent = np.repeat(np.arange(len(vals)), counts)
         last = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
         vals = vals[parent] * members[last]
@@ -373,19 +368,29 @@ def count_squarefree_over_P(pred: PrimePredicate, bound: int) -> int:
     """Squarefree d with 2 <= d <= bound, all prime factors in P.
 
     d = 1 is excluded: the empty product corresponds to a matrix algebra.
-    Counted as the sizes of the levels of products of distinct members of P.
+    Counted over the products of distinct members of P without building the
+    leaves: a product v whose largest factor is m_i has
+    searchsorted(members, bound // v) - i - 1 children, added up per level.
+    Only the internal nodes, the v with v * m_(i+1) <= bound, are expanded:
+    the child v * m_j is internal exactly when m_j * m_(j+1) <= bound // v,
+    so the pair products m_j * m_(j+1) are the keys of _squarefree_levels,
+    built only for m_j <= isqrt(bound), since no later pair fits under bound.
+    Level 0, the empty product, counts every member.  Memory is the member
+    array plus the internal nodes of one level: 150, 102 and 2 at 10^8 for
+    (-4, n = 1), whose levels hold 850,463 products.
     """
     if bound < 2:
         return 0
-    return sum(len(level) for level in _squarefree_levels(pred.members_up_to(bound), bound))
+    members = pred.members_up_to(bound)
+    head = members[: np.searchsorted(members, math.isqrt(bound), side="right") + 1]
+    levels = _squarefree_levels(members, head[:-1] * head[1:], bound)
+    return sum(int(np.sum(np.searchsorted(members, bound // v, side="right") - i - 1)) for v, i in levels)
 
 
 def squarefree_values(pred: PrimePredicate, bound: int) -> list[int]:
     """The squarefree P-supported values up to bound, ascending."""
-    if bound < 2:
-        return []
-    levels = _squarefree_levels(pred.members_up_to(bound), bound)
-    return np.sort(np.concatenate([np.empty(0, dtype=np.int64), *levels])).tolist()
+    members = pred.members_up_to(bound)
+    return np.sort(np.concatenate([v for v, _ in _squarefree_levels(members, members, bound)]))[1:].tolist()
 
 
 class FitRow(NamedTuple):

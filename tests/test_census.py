@@ -293,8 +293,9 @@ class TestMembersScan:
         assert table.any() and checked > M * M // 4
 
     def test_scan_memory(self):
-        # the walk expands at most WALK_CHUNK points at a time next to one
-        # SEGMENT strip; the parent prime-side scan peaked at 2.5 MiB
+        # the walk holds one SEGMENT strip (1 MB) and the members so far (0.66 MB
+        # at 10^7) next to a few WALK_CHUNK arrays of 64 KB; it peaks at about
+        # 2.1 MiB, and at 2.8-3.0 MiB with 256 KB chunk arrays
         import tracemalloc
 
         for delta in (-3, -4, -8):
@@ -305,7 +306,7 @@ class TestMembersScan:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * 2**20, (delta, peak)
+            assert peak < 2.5 * 2**20, (delta, peak)
 
     def test_in_P_beyond_scan_limit(self, predicate_n1):
         from sympy.ntheory import is_quad_residue, sqrt_mod
@@ -360,8 +361,12 @@ class TestSquarefreeCount:
             pred = PrimePredicate(delta, construct_fields(delta, n).extensions if n else [])
             top = 2 * 10**4 if n == 0 else 10**6
             m = pred.members_up_to(top).tolist()
-            # bounds below 2, below the smallest member, equal to products of members, off any grid
-            bounds = [-5, 0, 1, 2, m[0] - 1, m[0], m[0] * m[1] - 1, m[0] * m[1], m[1] * m[2], m[0] * m[1] * m[2], 9_999, top]
+            # bounds below 2, below the smallest member, equal to products of members, off any grid;
+            # and where a product turns from leaf to internal node: just below a product of two or
+            # three members, at the largest pair product m_k * m_(k+1) <= top and either side of it
+            pair = max(a * b for a, b in zip(m, m[1:]) if a * b <= top)
+            bounds = [-5, 0, 1, 2, m[0] - 1, m[0], (m[0] + m[0] * m[1]) // 2, m[0] * m[1] - 1, m[0] * m[1], m[1] * m[2] - 1, m[1] * m[2]]
+            bounds += [m[0] * m[1] * m[2] - 1, m[0] * m[1] * m[2], pair - 1, pair, pair + 1, 9_999, top]
             for bound in (b for b in bounds if b <= top):
                 want = squarefree_subset_oracle(m, bound)
                 assert squarefree_values(pred, bound) == want, (delta, n, bound)
@@ -369,6 +374,22 @@ class TestSquarefreeCount:
                 if bound >= 2:
                     assert squarefree_count_sieve_oracle(pred, bound) == len(want), (delta, n, bound)
             assert all(type(v) is int for v in squarefree_values(pred, top))
+
+    def test_count_memory(self):
+        # the count expands only the internal nodes, a few hundred at 10^8;
+        # building every product, 850,463 of them, peaks at 20 MB
+        import tracemalloc
+
+        pred = PrimePredicate(-4, construct_fields(-4, 1).extensions)
+        pred.members_up_to(10**8)
+        tracemalloc.start()
+        try:
+            count = count_squarefree_over_P(pred, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 850_463
+        assert peak < 256 * 2**10, peak
 
 
 class TestMeanValueFit:
