@@ -197,7 +197,7 @@ def discriminant_blocks(x: int, sign: str = "both") -> Iterator[np.ndarray]:
 
 
 CHI_BLOCK = 1 << 13
-"""Residues per block of kronecker_table and character_blocks: a 64 KB float64 block, cache-resident and under glibc's mmap threshold."""
+"""Residues per block of kronecker_table: a 64 KB int64 block, cache-resident and under glibc's mmap threshold."""
 
 
 def kronecker_table(p: int) -> np.ndarray:
@@ -254,20 +254,6 @@ def character_table(delta: int) -> np.ndarray:
     period of kronecker_table(p) for each odd p | delta, times chi_-4, chi_8 or
     chi_-8 on n mod 8 for the 2-part.  O(|delta| * omega(delta)) work."""
     return periodic_window(_character_parts(delta), 0, abs(delta))
-
-
-def character_blocks(delta: int, stop: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(a, chi_delta(a)) over the residues 1 <= a < stop (default |delta|) with
-    chi_delta(a) != 0, as int64 and int8 arrays, one block of CHI_BLOCK
-    residues at a time: the same tables as character_table, read block by
-    block.  Memory is the tables (the largest prime factor's dominates) plus
-    one block."""
-    parts = _character_parts(delta)
-    stop = abs(delta) if stop is None else stop
-    for lo in range(1, stop, CHI_BLOCK):
-        chi = periodic_window(parts, lo, min(CHI_BLOCK, stop - lo))
-        a = np.flatnonzero(chi)
-        yield a + lo, chi[a]
 
 
 def kronecker_row(discs: np.ndarray, p: int) -> np.ndarray:

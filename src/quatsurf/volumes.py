@@ -3,83 +3,100 @@
 The Dedekind zeta of an imaginary quadratic field factors as
 zeta(s) * L(s, chi_delta), and at s = 2 the zeta(2) = pi^2/6 cancels the
 4*pi^2 of the covolume formula, so every covolume here is an exact rational
-times sqrt|delta| times one L-value.  That L-value is a sum over one period of
-the character of trigamma values, each a few shifted terms plus an
-asymptotic series whose remainder bound proves the requested tolerance.  The
-period, or for imaginary delta its first half, is walked block by block
-(quadfields.character_blocks): time is O(|delta| * (K + J)) and memory one
-int8 table of the largest prime factor of delta plus one block, for |delta|
-up to MAX_ABS_DELTA.
-Coareas of the rational (Fuchsian) groups are exact rational multiples of pi.
+times sqrt|delta| times one L-value, summed in scalar math from the
+functional equation.  Coareas of the rational (Fuchsian) groups are exact
+rational multiples of pi.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .quadfields import character_blocks, is_fundamental_discriminant
+from . import arith
+from .quadfields import is_fundamental_discriminant
 from .quatalg import QuatAlgK, QuatAlgQ
 
-
-# B_2, B_4, ..., B_26: the trigamma series takes B_2 .. B_2J, and B_(2J+2) bounds its remainder
-_BERNOULLI = (
-    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798, -174611 / 330,
-    854513 / 138, -236364091 / 2730, 8553103 / 6,
-)
 
 MIN_TOL = 1e-15
 """Smallest tol dirichlet_L2 accepts: float64 cannot resolve an L-value near 1 more finely."""
 
 MAX_ABS_DELTA = 1 << 30
-"""Largest |delta| dirichlet_L2 accepts: the int8 table of a prime factor this large takes 1 GiB."""
+"""Largest |delta| dirichlet_L2 accepts, for run time: there it sums 6.3 * 10^4 terms in about 0.6 s."""
 
 
-def _tail_plan(q: int, tol: float) -> tuple[int, int]:
-    """(K, J): the fewest shifted terms K, then the fewest series terms J, whose
-    remainder bound |B_(2J+2)| / (q * K^(2J+3)) is at most tol."""
-    K = 1
-    while True:
-        for J, b in enumerate(_BERNOULLI):
-            if abs(b) / (q * K ** (2 * J + 3)) <= tol:
-                return K, J
-        K += 1
+def _e1(x: float, eps: float = 0.0) -> float:
+    """E_1(x) for x > 0, within eps or to float64 resolution, whichever is
+    coarser.  For x <= 1 the series -gamma - ln x + sum_k (-1)^(k+1) x^k / (k * k!)
+    (DLMF 6.6.2) alternates with decreasing terms, so its error is below the
+    first omitted term, here below 10^-17.  Above 1 the continued fraction
+    e^-x / (x + 1/(1 + 1/(x + 2/(1 + 2/(x + ...))))) (DLMF 6.9.1) has positive
+    elements, so each pair of successive convergents brackets the value; it
+    returns the midpoint of the first pair that is within 2 eps or an ulp."""
+    if x <= 1:
+        s, t = 0.0, 1.0
+        for k in itertools.count(1):
+            t *= -x / k  # (-x)^k / k!
+            if abs(t) <= 1e-17 * k:
+                return s - math.log(x) - 0.5772156649015329
+            s -= t / k
+    ex = math.exp(-x)
+    p0, p1, r0, r1 = 0.0, 1.0, 1.0, x  # numerators p and denominators r of convergents 2k and 2k + 1
+    for k in itertools.count(1):
+        p0 = p1 + k * p0
+        r0 = r1 + k * r0
+        p1 = x * p0 + k * p1
+        r1 = x * r0 + k * r1
+        lo, hi = p0 / r0, p1 / r1
+        if (hi - lo) * ex <= 2 * eps or hi - lo <= 2**-53 * lo:
+            return ex * (lo + hi) / 2
 
 
-def _trigamma_series(z: np.ndarray, J: int) -> np.ndarray:
-    """psi_1(z) ~ 1/z + 1/(2z^2) + sum_{j<=J} B_2j / z^(2j+1), for real z > 0, where
-    the series is enveloping: the error is at most |B_(2J+2)| / z^(2J+3)."""
-    w = np.reciprocal(np.square(z))
-    s = np.zeros_like(z)
-    for b in reversed(_BERNOULLI[:J]):  # Horner in w = z^-2
-        s += b
-        s *= w
-    s += 1.0 + 0.5 / z
-    s /= z
-    return s
+def _gamma_3_2(x: float) -> float:
+    """Gamma(3/2, x) = sqrt(x) e^-x + (sqrt(pi)/2) erfc(sqrt(x)) (DLMF 8.4.6, 8.8.2)."""
+    return math.sqrt(x) * math.exp(-x) + 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x))
+
+
+def _gamma_minus_1_2(x: float) -> float:
+    """Gamma(-1/2, x) = 2 (e^-x / sqrt(x) - sqrt(pi) erfc(sqrt(x))) (DLMF 8.4.6, 8.8.2)."""
+    return 2 * (math.exp(-x) / math.sqrt(x) - math.sqrt(math.pi) * math.erfc(math.sqrt(x)))
+
+
+def _tail_bound(q: int, odd: bool, n: int) -> float:
+    """A bound on the sum over m > n of the terms of dirichlet_L2's series
+    without chi(m), prefactor included, for x_n = pi n^2 / q > 1/2.
+
+    Gamma(a, x) = x^a e^-x int_0^oo (1 + u)^(a-1) e^(-x u) du is at most
+    x^(a-1) e^-x for a <= 1, and x^(a-1) e^-x * x / (x - a + 1) for a > 1 as
+    (1 + u)^(a-1) <= e^((a-1) u); and E_1(x) < e^-x / x.  So an odd term is at
+    most (4/sqrt(pi)) (pi/q)^(3/2) m e^-x_m / (x_m - 1/2), an even one at most
+    (2 pi/q) e^-x_m / x_m.  Past x = 1/2, m e^-x_m and e^-x_m decrease, so
+    their sums over m > n are at most the integrals from n, (q / 2 pi) e^-x_n
+    and (q / (2 pi n)) e^-x_n.
+    """
+    x = math.pi * n * n / q
+    return 2 * math.exp(-x) / (math.sqrt(q) * (x - 0.5)) if odd else math.exp(-x) / (n * x)
 
 
 def dirichlet_L2(delta: int, tol: float = 1e-10) -> float:
-    """L(2, chi_delta) by the period sum, with a proven truncation bound <= tol.
+    """L(2, chi_delta) by the functional equation, within a proven tol.
 
-    L(2, chi) = q^-2 * sum_{0<a<q} chi(a) * psi_1(a/q) with q = |delta|.  Each
-    psi_1(a/q) is K shifted terms q^2 * sum_{k<K} (a + k*q)^-2 plus the
-    asymptotic series of psi_1(z) through B_2J (_trigamma_series) at
-    z = a/q + K >= K (DLMF 5.15.8, Abramowitz-Stegun 6.4.12).  For real z > 0
-    that series is enveloping: the error is at most the first omitted term,
-    so over the < q residues the truncation error is at most
-    |B_(2J+2)| / (q * K^(2J+3)); K and J are the smallest that bring it to tol.
-    For delta < 0, chi is odd, chi(q - a) = -chi(a), and the reflection
-    psi_1(z) + psi_1(1 - z) = pi^2/sin^2(pi*z) (DLMF 5.15.6) folds the sum onto
-    a < q/2: L(2, chi) = q^-2 * sum_{a<q/2} chi(a) * (2*psi_1(a/q) - pi^2/sin^2(pi*a/q)).
-    The bound is unchanged: half as many psi_1 terms, each counted twice.
-    The residues are summed one block of quadfields.CHI_BLOCK at a time, so
-    time is O(q * (K + J)) and memory one int8 kronecker_table of the largest
-    prime factor of delta plus one block, whatever tol is; rounding adds a
-    few ulps on top.  |delta| above MAX_ABS_DELTA = 2^30, where that table
-    reaches 1 GiB, is refused with ValueError before anything is allocated
-    or factored.  For delta = -4 this is Catalan's constant.
+    With q = |delta|, x_n = pi n^2 / q and chi(n) = arith.kronecker(delta, n),
+    splitting the theta integral of the completed L-function at t = 1 (root
+    number 1 for a real primitive character: Davenport, Multiplicative Number
+    Theory, ch. 9; Cohen, Number Theory II, ch. 10) gives
+      delta < 0: (2/sqrt(pi)) (pi/q)^(3/2) sum chi(n) n (x_n^(-3/2) Gamma(3/2, x_n) + E_1(x_n)),
+      delta > 0: (pi/q) sum chi(n) (x_n^-1 e^-x_n + x_n^(1/2) Gamma(-1/2, x_n)).
+    The sum stops at the first N with x_N > 1/2 whose _tail_bound is at most
+    tol/2, about sqrt(q ln(1/tol) / pi) terms, and each E_1(x_n) is taken
+    close enough (_e1) to add at most tol/(2N).  What stays unproven is the
+    rounding of libm's exp and erfc, a few ulps.  The terms are floats summed
+    by math.fsum as they come: O(sqrt(q) * log(1/tol)) time, O(1) memory.
+    At delta = -10^8 a fresh process on a 2-vCPU x86-64 VM takes 0.36 s and
+    28.8 MB of peak RSS, no more than its imports (an O(q) period sum of
+    trigamma values takes 4.4 s and 125 MB there).  |delta| above MAX_ABS_DELTA =
+    2^30 is refused with ValueError before any work, since run time grows as
+    sqrt|delta|.  For delta = -4 this is Catalan's constant.
     """
     if not abs(delta) <= MAX_ABS_DELTA:
         raise ValueError(f"|delta| must be at most 2^30, got {delta}")
@@ -88,25 +105,18 @@ def dirichlet_L2(delta: int, tol: float = 1e-10) -> float:
     if not tol >= MIN_TOL:
         raise ValueError(f"tol must be at least {MIN_TOL}")
     q = abs(delta)
-    K, J = _tail_plan(q, tol)
     odd = delta < 0
-    total = 0.0
-    for a, chi in character_blocks(delta, (q + 1) // 2 if odd else q):
-        z = a / q
-        z += K
-        s = _trigamma_series(z, J)
-        s /= q * q
-        w = z  # reused as scratch for the shifted terms
-        for k in range(K):
-            np.square(a + k * q, out=w, dtype=np.float64)
-            s += np.reciprocal(w, out=w)
-        if odd:  # 2*psi_1(a/q) - pi^2/sin^2(pi*a/q), over q^2
-            s *= 2
-            np.sin(np.multiply(a, np.pi / q, out=w), out=w)
-            w *= q / np.pi
-            s -= np.reciprocal(np.square(w, out=w), out=w)
-        total += float(np.sum(s * chi))
-    return total
+    scale = 2 / math.sqrt(math.pi) * (math.pi / q) ** 1.5 if odd else math.pi / q
+    N = next(n for n in itertools.count(1) if math.pi * n * n > q / 2 and _tail_bound(q, odd, n) <= tol / 2)
+    eps = tol / (2 * N * scale)  # E_1(x_n) to within eps / n: N terms of scale * n * eps / n add tol / 2
+
+    def term(n: int) -> float:
+        x = math.pi * n * n / q
+        if odd:
+            return n * (_gamma_3_2(x) / x**1.5 + _e1(x, eps / n))
+        return math.exp(-x) / x + math.sqrt(x) * _gamma_minus_1_2(x)
+
+    return scale * math.fsum(chi * term(n) for n in range(1, N + 1) if (chi := arith.kronecker(delta, n)))
 
 
 @dataclass(frozen=True)

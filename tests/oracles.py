@@ -9,19 +9,22 @@ oracle redoes the subfield intersection with enumeration-based splitting
 throughout.  The P-membership oracle finds square
 roots by enumeration; the squarefree sieve counts P-supported integers by
 striking a boolean strip and the subset walk lists them by a depth-first
-walk over products of members; the L-value oracle sums mpmath's Hurwitz zeta.
+walk over products of members; the L-value oracles sum mpmath's Hurwitz zeta,
+the same functional-equation series as the package in mpmath's incomplete
+gamma functions, or, in float64, trigamma values over one period.
 The wood count oracle builds every imaginary discriminant as an int64 value
 and applies one kronecker_row filter per condition.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from quatsurf import arith
 from quatsurf.errors import VerificationError
-from quatsurf.quadfields import SplitType, discriminant_blocks, kronecker_row
+from quatsurf.quadfields import SplitType, character_table, discriminant_blocks, kronecker_row
 
 
 ENUMERATION_LIMIT = 10**6
@@ -298,3 +301,62 @@ def dirichlet_L2_oracle(delta: int) -> float:
             chi * mpmath.zeta(2, mpmath.mpf(a) / q) for a in range(1, q) if (chi := arith.kronecker(delta, a))
         )
         return float(total / q**2)
+
+
+def theta_term(q: int, odd: bool, n: int):
+    """The n-th term of volumes.dirichlet_L2's series for |delta| = q, without
+    chi(n) and with its prefactor, at 30 digits from mpmath's gammainc and e1."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        x = mpmath.pi * n * n / q
+        if odd:
+            return 2 / mpmath.sqrt(mpmath.pi) * (mpmath.pi / q) ** 1.5 * n * (x**-1.5 * mpmath.gammainc(1.5, x) + mpmath.e1(x))
+        return mpmath.pi / q * (mpmath.exp(-x) / x + mpmath.sqrt(x) * mpmath.gammainc(-0.5, x))
+
+
+@functools.lru_cache(maxsize=None)
+def dirichlet_L2_theta_oracle(delta: int) -> float:
+    """L(2, chi_delta) by the series of volumes.dirichlet_L2 in mpmath (theta_term),
+    summed to x_n = pi n^2 / |delta| > 80, where the tail is below 10^-30: a check
+    on the float64 evaluation (incomplete gammas, tail bound, summation) where
+    the Hurwitz period sum would take minutes; cached per delta."""
+    import mpmath
+
+    q = abs(delta)
+    with mpmath.workdps(30):
+        terms = (chi * theta_term(q, delta < 0, n) for n in range(1, math.isqrt(26 * q) + 2) if (chi := arith.kronecker(delta, n)))
+        return float(mpmath.fsum(terms))
+
+
+# B_2, B_4, ..., B_26: the trigamma series takes B_2 .. B_2J, and B_(2J+2) bounds its remainder
+_BERNOULLI = (
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798, -174611 / 330,
+    854513 / 138, -236364091 / 2730, 8553103 / 6,
+)
+
+
+def dirichlet_L2_period_oracle(delta: int, tol: float = 1e-13) -> float:
+    """L(2, chi_delta) = q^-2 * sum_{0<a<q} chi(a) * psi_1(a/q), q = |delta|, in
+    float64 over one period of quadfields.character_table(delta).
+
+    Each psi_1(a/q) is K shifted terms sum_{k<K} (a/q + k)^-2 plus the
+    asymptotic series of psi_1(z) through B_2J at z = a/q + K >= K (DLMF 5.15.8),
+    which for real z > 0 is enveloping: its error is at most the first
+    omitted term, so over the < q residues the truncation error is at most
+    |B_(2J+2)| / (q * K^(2J+3)); K and J are the smallest that bring it to tol.
+    O(|delta| * (K + J)) time and O(|delta|) memory.
+    """
+    q = abs(delta)
+    K, J = next((K, J) for K in itertools.count(1) for J, b in enumerate(_BERNOULLI) if abs(b) / (q * K ** (2 * J + 3)) <= tol)
+    chi = character_table(delta)
+    a = np.flatnonzero(chi)
+    z = a / q + K
+    w = 1 / (z * z)
+    series = np.zeros_like(z)
+    for b in reversed(_BERNOULLI[:J]):  # Horner in w = z^-2
+        series = (series + b) * w
+    terms = (series + 1 + 0.5 / z) / (z * q * q)  # psi_1(z) / q^2
+    for k in range(K):
+        terms += 1 / np.square(a + k * q, dtype=np.float64)
+    return math.fsum((terms * chi[a]).tolist())

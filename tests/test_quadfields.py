@@ -10,7 +10,6 @@ from quatsurf.census import ramification_probability_check, wood_stats
 from quatsurf.quadfields import (
     QuadraticField,
     SplitType,
-    character_blocks,
     character_table,
     count_fundamental_discriminants,
     discriminant_blocks,
@@ -297,15 +296,14 @@ class TestCharacterTable:
                 character_table(d)
 
     def test_blocks_cross_edges(self, monkeypatch):
-        # every 2-part class, |d| around the edges of 64-residue blocks, against scalar symbols
+        # every 2-part class, |d| around the edges of 64-residue kronecker_table blocks, against scalar symbols
         monkeypatch.setattr(quadfields, "CHI_BLOCK", 64)
         for d in (-3, -4, 5, 8, -8, 65, -67, -131, 129, 133, -132, 140, 136, 152, -136, -152, -1155):
-            a, chi = (np.concatenate(x) for x in zip(*character_blocks(d)))
-            want = [(n, s) for n in range(1, abs(d)) if (s := arith.kronecker(d, n))]
-            assert a.dtype == np.int64 and chi.dtype == np.int8, d
-            assert list(zip(a.tolist(), chi.tolist())) == want, d
+            table = character_table(d)
+            assert table.dtype == np.int8, d
+            assert table.tolist() == [arith.kronecker(d, n) for n in range(abs(d))], d
         with pytest.raises(ValueError):
-            next(character_blocks(-12))
+            character_table(-12)
 
 
 class TestKroneckerTable:

@@ -17,3 +17,16 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_volumes_imports_no_numpy():
+    # dirichlet_L2 is scalar math: touching numpy's kernels maps pages of its
+    # library into the process, which is what its peak RSS is measured on
+    path = Path(quatsurf.__file__).parent / "volumes.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert imported and not {name for name in imported if name.split(".")[0] == "numpy"}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -6,7 +7,6 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from quatsurf import arith, quadfields, volumes
@@ -14,7 +14,13 @@ from quatsurf.quadfields import QuadraticField, fundamental_discriminants, prime
 from quatsurf.quatalg import QuatAlgK, QuatAlgQ
 from quatsurf.volumes import MAX_ABS_DELTA, MIN_TOL, count_scaling, dirichlet_L2, fuchsian_coarea, kleinian_covolume
 
-from oracles import catalan_oracle, dirichlet_L2_oracle
+from oracles import (
+    catalan_oracle,
+    dirichlet_L2_oracle,
+    dirichlet_L2_period_oracle,
+    dirichlet_L2_theta_oracle,
+    theta_term,
+)
 
 CATALAN = 0.9159655941772190  # well-known value of L(2, chi_{-4})
 
@@ -55,27 +61,49 @@ class TestDirichletL2:
             dirichlet_L2(-4, MIN_TOL / 2)
         assert abs(dirichlet_L2(-4, MIN_TOL) - CATALAN) < 1e-15
 
-    def test_trigamma_series_enveloping(self):
-        # the remainder bound dirichlet_L2 rests on: error at most the first omitted term
+    def test_incomplete_gammas_and_tail_bound(self):
+        # the pieces dirichlet_L2 rests on, against mpmath at 30 digits: E_1 on both
+        # sides of its series/continued-fraction switch at x = 1, also stopped early
+        # at eps; Gamma(-1/2, x) cancels e^-x/sqrt(x) against sqrt(pi) erfc(sqrt(x)),
+        # so its error is measured against the first
         import mpmath
 
-        zs = np.array([1.0, 1.5, 2.0, 3.25, 5.0, 8.0, 13.0])
-        for J in range(len(volumes._BERNOULLI)):
-            got = volumes._trigamma_series(zs, J)
-            for z, value in zip(zs.tolist(), got.tolist()):
-                bound = abs(volumes._BERNOULLI[J]) / z ** (2 * J + 3)
-                assert abs(value - float(mpmath.psi(1, z))) <= bound + 4e-16 * value, (z, J)
+        with mpmath.workdps(30):
+            for x in (1e-3, 0.25, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0, 8.0, 20.0, 40.0):
+                e1 = float(mpmath.e1(x))
+                assert abs(volumes._e1(x) - e1) <= 2e-15 * e1, x
+                assert abs(volumes._e1(x, 1e-9) - e1) <= 1e-9 + 2e-15 * e1, x
+                g = float(mpmath.gammainc(1.5, x))
+                assert abs(volumes._gamma_3_2(x) - g) <= 1e-15 * g, x
+                g = float(mpmath.gammainc(-0.5, x))
+                assert abs(volumes._gamma_minus_1_2(x) - g) <= 2e-14 * math.exp(-x) / math.sqrt(x), x
+        # the tail past n, summed in mpmath to x = 80, never exceeds the bound N is chosen from
+        for delta in (-3, -4, -1003, 5, 12, 1001):
+            q, odd = abs(delta), delta < 0
+            first = next(n for n in itertools.count(1) if math.pi * n * n > q / 2)  # x_n > 1/2
+            for n in (first, first + 1, 2 * first, 4 * first):
+                with mpmath.workdps(30):
+                    tail = mpmath.fsum(theta_term(q, odd, m) for m in range(n + 1, math.isqrt(26 * q) + 2))
+                assert tail <= volumes._tail_bound(q, odd, n), (delta, n)
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     def test_matches_hurwitz_oracle(self, tol):
         for delta in fundamental_discriminants(200):
             assert abs(dirichlet_L2(delta, tol) - dirichlet_L2_oracle(delta)) <= tol, delta
 
+    # the Hurwitz period sum where it takes seconds at most; at |delta| near 10^5
+    # (about 100 s each there) the same series in mpmath's incomplete gammas
+    @pytest.mark.parametrize("tol", [1e-10, MIN_TOL])
+    @pytest.mark.parametrize("delta", [-3, -4, -8, 5, 8, 12, -1003, -99991, 99989])
+    def test_matches_mpmath(self, delta, tol):
+        want = dirichlet_L2_oracle(delta) if abs(delta) < 10**4 else dirichlet_L2_theta_oracle(delta)
+        assert abs(dirichlet_L2(delta, tol) - want) <= tol
+
     def test_memory_flat_in_tol(self):
         # summing the Dirichlet series itself takes ~sqrt(1/tol) terms, about
-        # 3.9e8 here (2.9 GiB per float64 array); the period sum, one int8 table
-        # of the largest prime factor plus one block, stays under a 1 GiB
-        # address-space cap
+        # 3.9e8 here (2.9 GiB per float64 array); the functional-equation series
+        # takes about sqrt(|delta| ln(1/tol) / pi) scalar terms and stays under a
+        # 1 GiB address-space cap
         code = (
             "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from quatsurf.volumes import dirichlet_L2\n"
@@ -88,38 +116,59 @@ class TestDirichletL2:
         assert run.returncode == 0, run.stderr
         assert float(run.stdout) <= 1e-10
 
-
     # every 2-part class with |delta| just past an edge of 64-residue blocks (129 fills
-    # two blocks exactly): odd (-131, 129, 133), -4m (-132), +4m (140), +8m (136, 152), -8m (-136, -152)
+    # two blocks exactly): odd (-131, 129, 133), -4m (-132), +4m (140), +8m (136, 152), -8m
+    # (-136, -152).  The series takes chi from arith.kronecker; the period sum reads
+    # character_table, whose kronecker_table strikes its squares CHI_BLOCK at a time,
+    # so the two agree only if those block edges are right
     @pytest.mark.parametrize("delta", [-131, 129, 133, -132, 140, 136, 152, -136, -152])
     def test_blocks_crossed(self, monkeypatch, delta):
         monkeypatch.setattr(quadfields, "CHI_BLOCK", 64)
-        assert abs(dirichlet_L2(delta, 1e-10) - dirichlet_L2_oracle(delta)) <= 1e-10
+        want = dirichlet_L2_oracle(delta)
+        assert abs(dirichlet_L2(delta, 1e-10) - want) <= 1e-10
+        assert abs(dirichlet_L2_period_oracle(delta) - want) <= 1e-12
 
-    # an odd delta < 0 (7 * 71429), a -4m (m = 11 * 9091) and a +8m (m = 100003)
+    # an odd delta < 0 (7 * 71429), a -4m (m = 11 * 9091) and a +8m (m = 100003): the
+    # period sum over kronecker_table blocks of any size gives the series' value
     @pytest.mark.parametrize("delta", [-500003, -400004, 800024])
     def test_block_size_leaves_value(self, monkeypatch, delta):
+        want = dirichlet_L2(delta, 1e-13)
         sums = []
         for block in (64, 1 << 13, 1 << 16):
             monkeypatch.setattr(quadfields, "CHI_BLOCK", block)
-            sums.append(dirichlet_L2(delta))
+            sums.append(dirichlet_L2_period_oracle(delta))
         assert max(sums) - min(sums) <= 1e-13, sums
+        assert max(abs(s - want) for s in sums) <= 1e-12, (sums, want)
 
-    # -1000003 is prime (a 1 MB kronecker_table), -1000007 = -29 * 34483 (34 KB),
-    # -1000011 = -3 * 333337 (333 KB); whole-period arrays took ~39 bytes per unit
-    # of |delta|, about 38 MiB here, and one 2^16-residue block over 3 MiB; the values
-    # at -1000003 and -1000011 are Hurwitz zeta period sums as in dirichlet_L2_oracle
-    # (mpmath at 25 digits, about 15 minutes each)
+    # no table and no array: the terms are floats summed as they come (-1000003 is
+    # prime, where the period sum built a 1 MB kronecker_table; at -100000007 one of 100 MB)
+    @pytest.mark.parametrize("delta", [-1000003, -100000007])
+    def test_allocates_no_table(self, delta):
+        tracemalloc.start()
+        try:
+            dirichlet_L2(delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, peak
+
+    # -1000003 is prime, -1000007 = -29 * 34483, -1000011 = -3 * 333337; the period
+    # sum took one int8 kronecker_table of the largest prime factor plus one block.
+    # The values at -1000003 and -1000011 are Hurwitz zeta period sums as in
+    # dirichlet_L2_oracle (mpmath at 25 digits, about 15 minutes each), and
+    # dirichlet_L2_period_oracle is the second oracle.  tol is 1e-13: at the default
+    # 1e-10 the value is up to 5e-12 off, inside its tol but not within 1e-12
     @pytest.mark.parametrize("delta", [-1000003, -1000007, -1000011])
     def test_memory_is_one_table_and_one_block(self, delta):
         want = {-1000003: 0.6752204544954221, -1000007: 1.4188481402565414, -1000011: 0.8533807032261189}[delta]
         tracemalloc.start()
         try:
-            got = dirichlet_L2(delta)
+            got = dirichlet_L2(delta, 1e-13)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert abs(got - want) <= 1e-12
+        assert abs(got - dirichlet_L2_period_oracle(delta)) <= 1e-12
         assert peak < max(arith.factorize(delta)) + 2**20, peak
 
     def test_cap_refused_before_any_work(self, monkeypatch):
