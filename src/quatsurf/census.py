@@ -315,10 +315,10 @@ class DensityReport:
         return self.rows[-1].ratio
 
 
-def default_checkpoints(bound: int, start: int = 100) -> list[int]:
-    """Powers of 10 from start up to bound, always including bound itself."""
+def default_checkpoints(bound: int) -> list[int]:
+    """Powers of 10 from 100 up to bound, always including bound itself."""
     cps = []
-    c = start
+    c = 100
     while c < bound:
         cps.append(c)
         c *= 10

@@ -196,31 +196,25 @@ def discriminant_blocks(x: int, sign: str = "both") -> Iterator[np.ndarray]:
         yield (lo + i) * np.array(_SIGNS[sign])[row]
 
 
-CHI_BLOCK = 1 << 13
-"""Residues per block of kronecker_table: a 64 KB int64 block, cache-resident and under glibc's mmap threshold."""
-
-
-def kronecker_table(p: int) -> np.ndarray:
+def _kronecker_table(p: int) -> np.ndarray:
     """(D|p) over the residues of D mod p (mod 8 for p = 2), as int8, for a
     prime p: 1 where p splits in Q(sqrt(D)), -1 where it is inert, 0 where it
     ramifies (for p = 2 only the discriminant classes 0, 1, 4, 5 mod 8 occur).
-    The squares x^2 mod p, x <= p/2, are struck CHI_BLOCK at a time, so memory
-    is the p-byte table plus one block (x^2 stays in int64 for p < 6 * 10^9)."""
+    Built only for an array at least p long: the squares x^2 mod p, x <= p/2,
+    are struck in one pass, so memory is the table plus 12p bytes of int64."""
     if p == 2:
         return np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
     table = np.full(p, -1, dtype=np.int8)
-    half = (p + 1) // 2
-    for lo in range(0, half, CHI_BLOCK):
-        x = np.arange(lo, min(half, lo + CHI_BLOCK), dtype=np.int64)
-        table[x * x % p] = 1
+    x = np.arange((p + 1) // 2, dtype=np.int64)
+    table[x * x % p] = 1
     table[0] = 0
     return table
 
 
 def _character_parts(delta: int) -> list[np.ndarray]:
     """The periodic int8 tables whose product is chi_delta: chi_-4, chi_8 or
-    chi_-8 (period 4 or 8) for the 2-part, then kronecker_table(p) for each odd
-    p | delta.  Memory is the tables, at most |delta| bytes in all."""
+    chi_-8 (period 4 or 8) for the 2-part, then _kronecker_table(p) for each
+    odd p | delta, so each period divides |delta|."""
     if not is_fundamental_discriminant(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
     q = abs(delta)
@@ -230,38 +224,15 @@ def _character_parts(delta: int) -> list[np.ndarray]:
         parts.append(np.array([0, 1, 0, -1], dtype=np.int8))  # chi_-4
     elif twos == 3:  # chi_8 when delta/8 = 1 (mod 4), else chi_-8
         parts.append(np.array([0, 1, 0, -1, 0, -1, 0, 1] if (delta >> 3) % 4 == 1 else [0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8))
-    return parts + [kronecker_table(p) for p in arith.factorize(q >> twos)]
-
-
-def periodic_window(parts: list[np.ndarray], lo: int, n: int) -> np.ndarray:
-    """prod_t t[(lo + i) mod len(t)] over the int8 tables t of parts, for 0 <= i < n,
-    as int8 (all ones for no tables): each table is rotated to start at lo mod its
-    period (cut to n when the period is longer) and tiled, so no index array is
-    formed.  It serves the characters, whose +-1/0 tables are as long as their
-    primes, so a _periodic_run of one would copy the whole table; short 0/1
-    patterns read as _periodic_run slices instead."""
-    chi = np.ones(n, dtype=np.int8)
-    for t in parts:
-        s = lo % len(t)
-        rotated = np.concatenate((t[s : s + n], t[: min(s, max(0, s + n - len(t)))]))
-        chi *= np.tile(rotated, -(-n // len(rotated)))[:n]
-    return chi
-
-
-def character_table(delta: int) -> np.ndarray:
-    """chi_delta(n) = (delta|n) for 0 <= n < |delta|, as int8, for a fundamental
-    discriminant delta: the product of the prime-discriminant characters, one
-    period of kronecker_table(p) for each odd p | delta, times chi_-4, chi_8 or
-    chi_-8 on n mod 8 for the 2-part.  O(|delta| * omega(delta)) work."""
-    return periodic_window(_character_parts(delta), 0, abs(delta))
+    return parts + [_kronecker_table(p) for p in arith.factorize(q >> twos)]
 
 
 def kronecker_row(discs: np.ndarray, p: int) -> np.ndarray:
-    """(D|p) for each D of the int64 array discs, as int8: a kronecker_table(p)
-    lookup when the table is no longer than the row, else Euler's criterion
+    """(D|p) for each D of the int64 array discs, as int8: a _kronecker_table(p)
+    lookup when p is at most the length of the row, else Euler's criterion
     (scalar symbols from POWMOD_LIMIT on), so the cost is bounded by the row."""
     if p == 2 or p <= len(discs):
-        return kronecker_table(p)[discs % (8 if p == 2 else p)]
+        return _kronecker_table(p)[discs % (8 if p == 2 else p)]
     if p < arith.POWMOD_LIMIT:
         return ((arith.powmod(discs % p, (p - 1) // 2, p) + 1) % p - 1).astype(np.int8)
     return np.array([arith.kronecker(d, p) for d in discs.tolist()], dtype=np.int8)
@@ -269,19 +240,23 @@ def kronecker_row(discs: np.ndarray, p: int) -> np.ndarray:
 
 def symbol_column(disc: int, ps: np.ndarray) -> np.ndarray:
     """(disc|p) for each prime p of the int64 array ps, as int8, for disc = 1 or a
-    fundamental discriminant; the transpose of kronecker_row, by its rule: a
-    character_table(disc) lookup when the table is no longer than the column,
-    else Euler's criterion (scalar symbols from POWMOD_LIMIT on, p = 2 by table)."""
+    fundamental discriminant; kronecker_row's transpose: one period of chi_disc
+    from _character_parts(disc) at ps mod |disc| when |disc| <= len(ps), else
+    Euler's criterion (scalar symbols from POWMOD_LIMIT on, p = 2 by table)."""
     if disc == 1:
         return np.ones(len(ps), dtype=np.int8)
-    if abs(disc) <= len(ps):
-        return character_table(disc)[ps % abs(disc)]
+    q = abs(disc)
+    if q <= len(ps):
+        chi = np.ones(q, dtype=np.int8)
+        for t in _character_parts(disc):
+            chi *= np.tile(t, q // len(t))
+        return chi[ps % q]
     euler = ps < arith.POWMOD_LIMIT
     qs = ps[euler]
     col = np.empty(len(ps), dtype=np.int8)
     col[euler] = (arith.powmod(arith.residues(disc, qs), (qs - 1) >> 1, qs) + 1) % qs - 1
     col[~euler] = [arith.kronecker(disc, p) for p in ps[~euler].tolist()]
-    col[ps == 2] = kronecker_table(2)[disc % 8]
+    col[ps == 2] = _kronecker_table(2)[disc % 8]
     return col
 
 

@@ -11,7 +11,9 @@ roots by enumeration; the squarefree sieve counts P-supported integers by
 striking a boolean strip and the subset walk lists them by a depth-first
 walk over products of members; the L-value oracles sum mpmath's Hurwitz zeta,
 the same functional-equation series as the package in mpmath's incomplete
-gamma functions, or, in float64, trigamma values over one period.
+gamma functions, or, in float64, trigamma values over one period of chi
+from quadfields.symbol_column, so the period sum shares no code with the
+package's series, which takes chi from scalar arith.kronecker.
 The wood count oracle builds every imaginary discriminant as an int64 value
 and applies one kronecker_row filter per condition.
 """
@@ -24,7 +26,7 @@ import numpy as np
 
 from quatsurf import arith
 from quatsurf.errors import VerificationError
-from quatsurf.quadfields import SplitType, character_table, discriminant_blocks, kronecker_row
+from quatsurf.quadfields import SplitType, discriminant_blocks, is_fundamental_discriminant, kronecker_row, symbol_column
 
 
 ENUMERATION_LIMIT = 10**6
@@ -247,6 +249,15 @@ def fundamental_discs_oracle(x: int, sign: str) -> list[int]:
     return out
 
 
+def character_table(delta: int) -> np.ndarray:
+    """chi_delta(n) = (delta|n) for 0 <= n < |delta|, as int8, for a fundamental
+    discriminant delta: symbol_column over n = 0, 1, ..., |delta| - 1, a column
+    |delta| long, so it takes the period route at every n, composite or not."""
+    if not is_fundamental_discriminant(delta):
+        raise ValueError(f"{delta} is not a fundamental discriminant")
+    return symbol_column(delta, np.arange(abs(delta)))
+
+
 def wood_count_oracle(q_split, q_inert, x: int) -> int:
     """Imaginary fundamental discriminants |D| <= x with q_split split and every
     q in q_inert inert, counted by filtering the int64 values block by block."""
@@ -338,7 +349,7 @@ _BERNOULLI = (
 
 def dirichlet_L2_period_oracle(delta: int, tol: float = 1e-13) -> float:
     """L(2, chi_delta) = q^-2 * sum_{0<a<q} chi(a) * psi_1(a/q), q = |delta|, in
-    float64 over one period of quadfields.character_table(delta).
+    float64 over one period of character_table(delta).
 
     Each psi_1(a/q) is K shifted terms sum_{k<K} (a/q + k)^-2 plus the
     asymptotic series of psi_1(z) through B_2J at z = a/q + K >= K (DLMF 5.15.8),

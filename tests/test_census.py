@@ -117,23 +117,25 @@ class TestMembersScan:
         # each fixed symbol left is one symbol_column per segment: prime-side,
         # (delta|p), then (x^2 - delta|p) by the discriminant of Q(sqrt(x^2 - delta));
         # after the walk, only the symbols of the generators outside its table.
-        # A character table is built only when it is no longer than the column of primes
+        # An odd residue table is built only when it is no longer than the column of
+        # primes (Euler's criterion builds p = 2's 8-entry table)
         columns, tables = [], []
         column = quadfields.symbol_column
         monkeypatch.setattr(census, "symbol_column", lambda d, ps: columns.append((d, len(ps))) or column(d, ps))
-        table = quadfields.character_table
-        monkeypatch.setattr(quadfields, "character_table", lambda d: tables.append((d, columns[-1][1])) or table(d))
+        table = quadfields._kronecker_table
+        monkeypatch.setattr(quadfields, "_kronecker_table", lambda p: tables.append((p, columns[-1][1])) or table(p))
         PrimePredicate(-4, family_n1.extensions).members_up_to(3 * SEGMENT + 5)
         assert columns == []  # the walk's table decides x = 1: no (-4|p), no (5|p)
         PrimePredicate(-4, construct_fields(-4, 2).extensions).members_up_to(3 * SEGMENT + 5)
         PrimePredicate(LARGE_DELTAS[0], construct_fields(LARGE_DELTAS[0], 1).extensions).members_up_to(SEGMENT + 5)
         assert [d for d, _ in columns] == [13] * 4 + [LARGE_DELTAS[0], 262145] * 2
-        assert all(abs(d) <= n for d, n in tables)
+        odd = [(p, n) for p, n in tables if p != 2]
+        assert all(p <= n for p, n in odd)
         # x = 3 of the n = 2 family is left to 13: a table in the three full segments,
         # none for the empty walk of the last one of five integers; |delta| = 1048579
         # and 262145 are longer than the ~82,000 primes of a segment, so Euler's
         # criterion decides them
-        assert [d for d, _ in tables] == [13] * 3
+        assert [p for p, _ in odd] == [13] * 3
 
     def test_fixed_symbol_discriminants(self):
         # the n = 1 census families: x^2 - delta = 7, 5, 12 give D = 28, 5, 12

@@ -5,26 +5,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quatsurf import arith, quadfields
-from quatsurf.census import ramification_probability_check, wood_stats
+from quatsurf import arith, census, quadfields, quatalg
+from quatsurf.census import SEGMENT, PrimePredicate, ramification_probability_check, wood_stats
 from quatsurf.quadfields import (
     QuadraticField,
     SplitType,
-    character_table,
     count_fundamental_discriminants,
     discriminant_blocks,
     fundamental_discriminants,
     fundamental_masks,
     is_fundamental_discriminant,
     kronecker_row,
-    kronecker_table,
     primes_above,
     split_primes_prefix,
     splitting,
     symbol_column,
 )
+from quatsurf.quatalg import QuatAlgK, recover_ramification
+from quatsurf.relquad import RelQuadExt
 
-from oracles import fundamental_discs_oracle, quadratic_split_oracle
+from oracles import character_table, fundamental_discs_oracle, quadratic_split_oracle
 
 DELTAS = (-3, -4, -7, -8, -11, 5, 8, 12, 13)
 
@@ -242,27 +242,37 @@ class TestSymbolColumns:
     def scalar(self, disc, ps):
         return [arith.kronecker(disc, p) for p in ps.tolist()]
 
-    def test_table_branch(self, monkeypatch):
+    def watch_tables(self, monkeypatch):
         tables = []
-        monkeypatch.setattr(quadfields, "character_table", lambda d: tables.append(d) or character_table(d))
+        table = quadfields._kronecker_table
+        monkeypatch.setattr(quadfields, "_kronecker_table", lambda p: tables.append(p) or table(p))
+        return tables
+
+    def test_table_branch(self, monkeypatch):
+        # one period of chi tiled from the odd prime tables of each disc, all
+        # shorter than the column; the Euler branch would build p = 2's table
+        tables = self.watch_tables(monkeypatch)
         for disc in (-3, -4, 5, 8, -8, 12, -15, 28, -420, 401):
             col = symbol_column(disc, self.PRIMES)
             assert col.dtype == np.int8 and col.tolist() == self.scalar(disc, self.PRIMES), disc
-        assert len(tables) == 10
+        assert tables == [3, 5, 3, 3, 5, 7, 3, 5, 7, 401]
 
     def test_euler_branch(self, monkeypatch):
-        # discriminants longer than the column, the column starting at p = 2
-        monkeypatch.setattr(quadfields, "character_table", None)
+        # discriminants longer than the column, the column starting at p = 2;
+        # only p = 2's 8-entry table is built
+        tables = self.watch_tables(monkeypatch)
         for disc in (-4, 5, -420, 401, 4004005, -1048579, 10**12 + 5 * 10**6 + 1, -(4 * (2**61 - 1))):
             n = min(len(self.PRIMES), abs(disc) - 1)
             for ps in (self.PRIMES[:n], self.PRIMES[-n:], self.PRIMES[:1]):
                 assert symbol_column(disc, ps).tolist() == self.scalar(disc, ps), (disc, len(ps))
+        assert tables and set(tables) == {2}
 
     def test_two_by_residue_class(self, monkeypatch):
-        monkeypatch.setattr(quadfields, "character_table", None)
+        tables = self.watch_tables(monkeypatch)
         two = np.array([2], dtype=np.int64)
         for disc in (-3, -4, 5, -7, 8, -8, 12, 13, 17, -1048579):
             assert symbol_column(disc, two).tolist() == [arith.kronecker(disc, 2)], disc
+        assert set(tables) == {2}
 
     def test_scalar_past_powmod_limit(self):
         big = np.array([p for p in range(arith.POWMOD_LIMIT - 200, arith.POWMOD_LIMIT + 400) if arith.is_prime(p)], dtype=np.int64)
@@ -283,6 +293,77 @@ class TestSymbolColumns:
             assert symbol_column(disc, ps).tolist() == matrix[:, j].tolist(), disc
 
 
+class TestResidueTableBound:
+    # the bound that replaces blocks: an odd residue table mod p is built only for
+    # an array at least p long, the one indexed by kronecker_row or symbol_column
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """(p, n) per _kronecker_table(p), n the length of the array of the
+        kronecker_row or symbol_column call that built it (0 outside one)."""
+        lengths, tables = [], []
+        for name in ("kronecker_row", "symbol_column"):
+            fn = getattr(quadfields, name)
+
+            def watched(a, b, fn=fn):
+                lengths.append(len(b if isinstance(b, np.ndarray) else a))
+                try:
+                    return fn(a, b)
+                finally:
+                    lengths.pop()
+
+            for module in (quadfields, census, quatalg):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, watched)
+        table = quadfields._kronecker_table
+        monkeypatch.setattr(quadfields, "_kronecker_table", lambda p: tables.append((p, lengths[-1] if lengths else 0)) or table(p))
+        return tables
+
+    def assert_bounded(self, tables):
+        odd = [(p, n) for p, n in tables if p != 2]
+        assert odd and all(p <= n for p, n in odd), odd
+
+    def test_prime_side_census_scan(self, tables):
+        # class number two: the fixed symbols (-15|p) go down each segment's column
+        PrimePredicate(-15, [RelQuadExt(-15, 1)]).members_up_to(3 * SEGMENT)
+        self.assert_bounded(tables)
+
+    @pytest.mark.parametrize("pairing", [[5, 13], [5]])
+    def test_recover(self, tables, pairing):
+        # an even pairing, and an odd one that also walks the auxiliary primes
+        k = QuadraticField(-4)
+        algebra = QuatAlgK(-4, frozenset(q for p in pairing for q in primes_above(k, p)))
+        assert set(pairing) <= set(recover_ramification(algebra, 2000, 10**4).primes)
+        self.assert_bounded(tables)
+
+    def test_wood_stats(self, tables):
+        wood_stats(37, [53, 59, 139, 101], 10**5)
+        self.assert_bounded(tables)
+
+    def test_symbol_columns(self, tables):
+        ps = arith.primes_up_to(3000)
+        for disc in (-420, 401, 4004005, -1048579):  # shorter, then longer than the column
+            for col in (ps, ps[:100]):
+                assert quadfields.symbol_column(disc, col).tolist() == [arith.kronecker(disc, p) for p in col.tolist()], disc
+        self.assert_bounded(tables)
+
+    def test_peak_under_twice_the_input(self):
+        # a table built only for an array at least as long keeps the call's peak
+        # under twice the array's int64 bytes
+        n = 1 << 17
+        discs = -np.arange(3, n + 3, dtype=np.int64)
+        p = next(q for q in range(n - 1, 2, -1) if arith.is_prime(q))
+        ps = arith.primes_up_to(1_800_000)
+        q = next(q for q in range(len(ps), 2, -1) if q % 4 == 3 and arith.is_prime(q))
+        for call, array in ((lambda: kronecker_row(discs, p), discs), (lambda: symbol_column(-q, ps), ps)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * array.nbytes, (peak, array.nbytes)
+
+
 class TestCharacterTable:
     def test_matches_kronecker(self):
         for d in fundamental_discriminants(2000):
@@ -295,9 +376,8 @@ class TestCharacterTable:
             with pytest.raises(ValueError):
                 character_table(d)
 
-    def test_blocks_cross_edges(self, monkeypatch):
-        # every 2-part class, |d| around the edges of 64-residue kronecker_table blocks, against scalar symbols
-        monkeypatch.setattr(quadfields, "CHI_BLOCK", 64)
+    def test_every_two_part_class(self):
+        # every 2-part class, |d| around 64 and 128, against scalar symbols
         for d in (-3, -4, 5, 8, -8, 65, -67, -131, 129, 133, -132, 140, 136, 152, -136, -152, -1155):
             table = character_table(d)
             assert table.dtype == np.int8, d
@@ -307,12 +387,11 @@ class TestCharacterTable:
 
 
 class TestKroneckerTable:
-    def test_squares_struck_in_blocks(self, monkeypatch):
-        # (p + 1)/2 squares, 64 per block: p = 127 fills one block, 131 and 257 spill into the next
-        monkeypatch.setattr(quadfields, "CHI_BLOCK", 64)
+    def test_squares_struck(self):
+        # (p + 1)/2 squares struck in one pass
         for p in (3, 113, 127, 131, 137, 251, 257, 263, 1031):
             squares = {x * x % p for x in range(1, p)}
-            table = kronecker_table(p)
+            table = quadfields._kronecker_table(p)
             assert table.dtype == np.int8, p
             assert table.tolist() == [0] + [1 if r in squares else -1 for r in range(1, p)], p
-        assert kronecker_table(2).tolist() == [0, 1, 0, -1, 0, -1, 0, 1]
+        assert quadfields._kronecker_table(2).tolist() == [0, 1, 0, -1, 0, -1, 0, 1]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quatsurf import arith, quadfields, volumes
+from quatsurf import arith, volumes
 from quatsurf.quadfields import QuadraticField, fundamental_discriminants, primes_above
 from quatsurf.quatalg import QuatAlgK, QuatAlgQ
 from quatsurf.volumes import MAX_ABS_DELTA, MIN_TOL, count_scaling, dirichlet_L2, fuchsian_coarea, kleinian_covolume
@@ -116,29 +116,22 @@ class TestDirichletL2:
         assert run.returncode == 0, run.stderr
         assert float(run.stdout) <= 1e-10
 
-    # every 2-part class with |delta| just past an edge of 64-residue blocks (129 fills
-    # two blocks exactly): odd (-131, 129, 133), -4m (-132), +4m (140), +8m (136, 152), -8m
-    # (-136, -152).  The series takes chi from arith.kronecker; the period sum reads
-    # character_table, whose kronecker_table strikes its squares CHI_BLOCK at a time,
-    # so the two agree only if those block edges are right
+    # every 2-part class with |delta| just past 128: odd (-131, 129, 133), -4m (-132),
+    # +4m (140), +8m (136, 152), -8m (-136, -152).  The series takes chi from
+    # arith.kronecker, the period sum from one period of quadfields.symbol_column
     @pytest.mark.parametrize("delta", [-131, 129, 133, -132, 140, 136, 152, -136, -152])
-    def test_blocks_crossed(self, monkeypatch, delta):
-        monkeypatch.setattr(quadfields, "CHI_BLOCK", 64)
+    def test_blocks_crossed(self, delta):
         want = dirichlet_L2_oracle(delta)
         assert abs(dirichlet_L2(delta, 1e-10) - want) <= 1e-10
         assert abs(dirichlet_L2_period_oracle(delta) - want) <= 1e-12
 
     # an odd delta < 0 (7 * 71429), a -4m (m = 11 * 9091) and a +8m (m = 100003): the
-    # period sum over kronecker_table blocks of any size gives the series' value
+    # period sum gives the series' value
     @pytest.mark.parametrize("delta", [-500003, -400004, 800024])
-    def test_block_size_leaves_value(self, monkeypatch, delta):
+    def test_block_size_leaves_value(self, delta):
         want = dirichlet_L2(delta, 1e-13)
-        sums = []
-        for block in (64, 1 << 13, 1 << 16):
-            monkeypatch.setattr(quadfields, "CHI_BLOCK", block)
-            sums.append(dirichlet_L2_period_oracle(delta))
-        assert max(sums) - min(sums) <= 1e-13, sums
-        assert max(abs(s - want) for s in sums) <= 1e-12, (sums, want)
+        got = dirichlet_L2_period_oracle(delta)
+        assert abs(got - want) <= 1e-12, (got, want)
 
     # no table and no array: the terms are floats summed as they come (-1000003 is
     # prime, where the period sum built a 1 MB kronecker_table; at -100000007 one of 100 MB)
