@@ -401,7 +401,6 @@ class FitRow(NamedTuple):
 
 @dataclass(frozen=True)
 class MeanValueFit:
-    tau: float
     constant: float
     rows: list[FitRow]
 
@@ -429,13 +428,12 @@ def mean_value_fit(counts: Sequence[tuple[int, int]], tau: float) -> MeanValueFi
     ns = [n for _, n in counts]
     constant = sum(n * g for n, g in zip(ns, gs)) / sum(g * g for g in gs)
     rows = [FitRow(x, n, n / g) for (x, n), g in zip(counts, gs)]
-    return MeanValueFit(tau, constant, rows)
+    return MeanValueFit(constant, rows)
 
 
 @dataclass(frozen=True)
 class AlgebraCensus:
     delta_k: int
-    x_bound: int
     d_values: list[int]
     algebras: list[QuatAlgK]
 
@@ -471,7 +469,7 @@ def algebra_census(pred: PrimePredicate, x_bound: int) -> AlgebraCensus:
             if not embeds(alg, e):
                 raise VerificationError(f"census algebra for d={d} rejects an extension")
         algebras.append(alg)
-    return AlgebraCensus(delta_k, x_bound, ds, algebras)
+    return AlgebraCensus(delta_k, ds, algebras)
 
 
 class WoodStats(NamedTuple):
@@ -492,10 +490,10 @@ def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats
 
     Reads the imaginary row of _fundamental_blocks.  (-a|q) depends on a mod m,
     m = q (8 for q = 2), so a condition with q <= BLOCK is a periodic bool
-    pattern, one kronecker_row over a period, built once per call as a run of
-    m + BLOCK entries (quadfields._periodic_run); each block ANDs the slice of
-    each run at lo mod m into the row in place, so memory is bounded by BLOCK,
-    sqrt(x) and the runs, and no block allocates a window.  A q > BLOCK falls
+    pattern, one kronecker_row over a period, built once per call as a run one
+    block longer than its period (np.resize, m + BLOCK entries); each block ANDs
+    the slice of each run at lo mod m into the row in place, so memory is bounded
+    by BLOCK, sqrt(x) and the runs, and no block allocates a window.  A q > BLOCK falls
     back to kronecker_row on the survivors of the short conditions, the only
     discriminant values built.
     """
@@ -513,7 +511,7 @@ def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats
 
     n = min(x, quadfields.BLOCK)
     patterns = [kronecker_row(-np.arange(8 if q == 2 else q), q) == symbol for q, symbol in conditions if q <= quadfields.BLOCK]
-    short = [(len(pattern), quadfields._periodic_run(pattern, n)) for pattern in patterns]
+    short = [(len(pattern), np.resize(pattern, len(pattern) + n)) for pattern in patterns]
     long = [(q, symbol) for q, symbol in conditions if q > quadfields.BLOCK]
     count = 0
     for lo, (neg,) in quadfields._fundamental_blocks(x, "imaginary"):

@@ -97,25 +97,6 @@ def _emit(args, command: str, columns: list[str], rows: list[dict], extra_manife
 
 # --- construct-fields ---------------------------------------------------------
 
-_FIELD_COLUMNS = [
-    "i",
-    "p",
-    "root",
-    "t",
-    "x",
-    "min_poly",
-    "poly_disc",
-    "disc_bound",
-    "bound_over_n8",
-    "galois",
-    "witness_prime",
-    "surface_obstruction",
-    "height_bound",
-    "length_bound",
-    "length_bound_over_n16",
-]
-
-
 def _cmd_construct_fields(args) -> int:
     if args.search_cap < 0:
         raise ValueError(f"--search-cap must be >= 0, got {args.search_cap}")
@@ -148,7 +129,7 @@ def _cmd_construct_fields(args) -> int:
         "linnik_ratio": _fmt(result.linnik_ratio),
         "max_disc_bound": result.max_disc_bound,
     }
-    _emit(args, "construct-fields", _FIELD_COLUMNS, rows, extra)
+    _emit(args, "construct-fields", list(rows[0]), rows, extra)
     return EXIT_OK
 
 

@@ -48,7 +48,6 @@ class XiChoice(NamedTuple):
     x: int
     root: int  # the square root of delta_k + p_i mod p_i^2
     t: int
-    growth_ratio: float  # x / p_n^4; the construction's bound is p_n^(4+eps)
 
 
 def find_xi(delta_k: int, split_primes: list[int], i: int, search_cap: int = 100_000) -> XiChoice:
@@ -65,11 +64,10 @@ def find_xi(delta_k: int, split_primes: list[int], i: int, search_cap: int = 100
     r = hensel_sqrt(delta_k + p, p)
     p2 = p * p
     others = [q for j, q in enumerate(split_primes, start=1) if j != i]
-    pn = split_primes[-1]
     for t in range(search_cap + 1):
         x = r + p2 * t
         if all((x * x - delta_k) % q != 0 for q in others):
-            return XiChoice(x, r, t, x / pn**4)
+            return XiChoice(x, r, t)
     raise SearchCapExceeded(f"no admissible t in 0..{search_cap} for i={i}")
 
 

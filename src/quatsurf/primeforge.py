@@ -58,7 +58,11 @@ def _legendre_row_ok(q: int, p_primes: list[int], inert_at: set[int]) -> bool:
     return True
 
 
-def select_q_primes(n: int, search_ceiling: int = 10_000_000) -> QSelection:
+Q_CEILING = 10_000_000
+"""select_q_primes raises SearchCapExceeded when some q_i would lie above this."""
+
+
+def select_q_primes(n: int) -> QSelection:
     """Pick q_1..q_{n+1} realizing the diagonal splitting pattern against p_1..p_n.
 
     q_i (i <= n) is the smallest odd prime, distinct from the earlier choices,
@@ -75,8 +79,8 @@ def select_q_primes(n: int, search_ceiling: int = 10_000_000) -> QSelection:
     for i in range(n + 1):
         inert_at = {i} if i < n else set(range(n))
         for q in arith.iter_primes(3):
-            if q > search_ceiling:
-                raise SearchCapExceeded(f"no q_{i + 1} below {search_ceiling}")
+            if q > Q_CEILING:
+                raise SearchCapExceeded(f"no q_{i + 1} below {Q_CEILING}")
             if q in q_primes:
                 continue
             if _legendre_row_ok(q, p_primes, inert_at):

@@ -25,20 +25,20 @@ class SplitType(Enum):
         return f"SplitType.{self.name}"
 
 
-def is_fundamental_discriminant(d: int) -> bool:
-    """True iff d is the discriminant of a quadratic field.
+_SIGN_CLASSES = {-1: ((4, 3), (16, 4), (16, 8)), 1: ((4, 1), (16, 8), (16, 12))}
+"""The (modulus, residue) classes of a = |D| for which D = -a (D = +a) is fundamental
+when a has no odd square factor: D = +-a = 1 (mod 4), or D = 4m with m = 2, 3 (mod 4)
+(Cohen, GTM 138, section 5.1).  The one rule of fundamentality, read by the scalar
+is_fundamental_discriminant and, as period-16 patterns, by the block engine."""
 
-    Either d = 1 (mod 4) and squarefree, or d = 4m with m = 2, 3 (mod 4)
-    and m squarefree.  d = 1 is excluded.
-    """
-    if d in (0, 1):
+
+def is_fundamental_discriminant(d: int) -> bool:
+    """True iff d is the discriminant of a quadratic field: |d| lies in a class of
+    _SIGN_CLASSES for the sign of d and has no odd square factor.  d = 1 is excluded."""
+    a = abs(d)
+    if d == 1 or not any(a % m == r for m, r in _SIGN_CLASSES[1 if d > 0 else -1]):
         return False
-    if d % 4 == 1:
-        return arith.is_squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and arith.is_squarefree(m)
-    return False
+    return arith.is_squarefree(a >> 2 if a % 4 == 0 else a)
 
 
 @dataclass(frozen=True)
@@ -143,20 +143,8 @@ def split_primes_prefix(k: QuadraticField, n: int) -> SplitPrimePrefix:
 BLOCK = 1 << 16
 """Values of |D| per block of the discriminant engine: a 64 KB bool strip, under glibc's mmap threshold, so blocks reuse freed heap."""
 
-_SIGN_CLASSES = {-1: ((4, 3), (16, 4), (16, 8)), 1: ((4, 1), (16, 8), (16, 12))}
-"""The (modulus, residue) classes of a = |D| for which D = -a (D = +a) is fundamental
-when a has no odd square factor: D = +-a = 1 (mod 4), or D = 4m with m = 2, 3 (mod 4)
-(Cohen, GTM 138, section 5.1)."""
-
 _SIGNS = {"imaginary": (-1,), "real": (1,), "both": (-1, 1)}
 """The signs of the rows of _fundamental_blocks for each sign selection."""
-
-
-def _periodic_run(pattern: np.ndarray, n: int) -> np.ndarray:
-    """pattern repeated to len(pattern) + n entries, so that run[lo % m :][:k] with
-    m = len(pattern) and k <= n is pattern[(lo + i) % m] for 0 <= i < k: a window
-    of the pattern at any offset is one slice, with no per-window copy."""
-    return np.resize(pattern, len(pattern) + n)
 
 
 def _fundamental_blocks(x: int, sign: str = "both") -> Iterator[tuple[int, np.ndarray]]:
@@ -164,7 +152,8 @@ def _fundamental_blocks(x: int, sign: str = "both") -> Iterator[tuple[int, np.nd
     row per sign of _SIGNS[sign]: masks[j, i] true iff _SIGNS[sign][j] * (lo + i) is
     fundamental.  One arith.strike_strip per block marks the a free of odd prime
     squares, and each row is that strip ANDed with its sign's period-16 class pattern
-    (_SIGN_CLASSES), built once per call as a _periodic_run and read at lo mod 16.
+    (_SIGN_CLASSES), built once per call as a run one block longer than its period
+    (np.resize), so the window at lo mod 16 is one slice with no per-block copy.
     One sign ANDs into the strip itself and yields it as a (1, n) view.  Memory is
     one block of the strip and the rows plus the odd primes p <= sqrt(x) and p^2.
     A bad sign or x above 2^53 raises ValueError at the call, before any block."""
@@ -174,7 +163,7 @@ def _fundamental_blocks(x: int, sign: str = "both") -> Iterator[tuple[int, np.nd
         raise ValueError(f"the |D| bound must be at most 2^53, got {x}")
     odd = arith.primes_up_to(math.isqrt(max(x, 0)))[1:]
     n, a = min(max(x, 0), BLOCK), np.arange(16)
-    rows = [_periodic_run(np.any([a % m == r for m, r in _SIGN_CLASSES[s]], axis=0), n) for s in _SIGNS[sign]]
+    rows = [np.resize(np.any([a % m == r for m, r in _SIGN_CLASSES[s]], axis=0), 16 + n) for s in _SIGNS[sign]]
     return _sign_blocks(x, BLOCK, rows, odd, odd * odd)
 
 
@@ -239,10 +228,11 @@ def kronecker_row(discs: np.ndarray, p: int) -> np.ndarray:
 
 
 def symbol_column(disc: int, ps: np.ndarray) -> np.ndarray:
-    """(disc|p) for each prime p of the int64 array ps, as int8, for disc = 1 or a
-    fundamental discriminant; kronecker_row's transpose: one period of chi_disc
+    """(disc|p) for each prime p of the ascending int64 array ps, as int8, for disc = 1
+    or a fundamental discriminant; kronecker_row's transpose: one period of chi_disc
     from _character_parts(disc) at ps mod |disc| when |disc| <= len(ps), else
-    Euler's criterion (scalar symbols from POWMOD_LIMIT on, p = 2 by table)."""
+    Euler's criterion (scalar symbols from POWMOD_LIMIT on, p = 2 by table: only
+    ps[0] can be 2)."""
     if disc == 1:
         return np.ones(len(ps), dtype=np.int8)
     q = abs(disc)
@@ -256,7 +246,8 @@ def symbol_column(disc: int, ps: np.ndarray) -> np.ndarray:
     col = np.empty(len(ps), dtype=np.int8)
     col[euler] = (arith.powmod(arith.residues(disc, qs), (qs - 1) >> 1, qs) + 1) % qs - 1
     col[~euler] = [arith.kronecker(disc, p) for p in ps[~euler].tolist()]
-    col[ps == 2] = _kronecker_table(2)[disc % 8]
+    if len(ps) and ps[0] == 2:
+        col[0] = _kronecker_table(2)[disc % 8]
     return col
 
 

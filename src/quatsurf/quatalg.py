@@ -174,8 +174,6 @@ def fuchsian_admissible(b: QuatAlgK) -> FuchsianPairing:
 class RecoveredRamification:
     primes: list[int]
     admissible_field_count: int
-    d_bound: int
-    prime_bound: int
 
 
 def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> RecoveredRamification:
@@ -245,9 +243,4 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
     if admissible == 0:
         aux_bound = f" and auxiliary primes <= {prime_bound}" if need_aux else ""
         raise BoundsTooSmall(f"no admissible quadratic field found with |D| <= {d_bound}{aux_bound}")
-    return RecoveredRamification(
-        primes=surviving.tolist(),
-        admissible_field_count=admissible,
-        d_bound=d_bound,
-        prime_bound=prime_bound,
-    )
+    return RecoveredRamification(primes=surviving.tolist(), admissible_field_count=admissible)

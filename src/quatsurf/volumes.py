@@ -136,13 +136,13 @@ class KleinianCovolume:
         return float(self.rational_factor) * math.sqrt(self.abs_delta) * self.l_value
 
 
-def kleinian_covolume(b: QuatAlgK, tol: float = 1e-10) -> KleinianCovolume:
+def kleinian_covolume(b: QuatAlgK) -> KleinianCovolume:
     """Covolume of the norm-one group of a maximal order in a division algebra.
 
     zeta_k(2) = zeta(2) * L(2, chi_delta) with zeta(2) = pi^2/6 in closed
     form, so the pi's cancel against the 4*pi^2 and only the L-value is
-    numerical.  Matrix algebras are rejected: their quotients have infinite
-    volume and are out of scope.
+    numerical, taken at dirichlet_L2's default tol of 1e-10.  Matrix algebras
+    are rejected: their quotients have infinite volume and are out of scope.
     """
     if not b.is_division:
         raise ValueError("matrix algebra: no finite covolume")
@@ -152,7 +152,7 @@ def kleinian_covolume(b: QuatAlgK, tol: float = 1e-10) -> KleinianCovolume:
     return KleinianCovolume(
         rational_factor=Fraction(abs(b.delta_k) * prod, 24),
         abs_delta=abs(b.delta_k),
-        l_value=dirichlet_L2(b.delta_k, tol),
+        l_value=dirichlet_L2(b.delta_k),
     )
 
 

@@ -37,6 +37,10 @@ class TestConstructFieldsCommand:
         manifest = json.loads(err)
         assert manifest["certified"] is True
         assert manifest["command"] == "construct-fields"
+        # the schema is the row dict's key order, pinned here to the README's
+        columns = "i,p,root,t,x,min_poly,poly_disc,disc_bound,bound_over_n8,galois,witness_prime,surface_obstruction,height_bound,length_bound,length_bound_over_n16"
+        assert out.splitlines()[0] == columns
+        assert manifest["schema"] == columns
 
     def test_invalid_discriminant_exits_2(self, capsys):
         code, _, err = run_cli(["construct-fields", "--delta", "-5", "--n", "1"], capsys)

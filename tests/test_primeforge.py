@@ -49,9 +49,10 @@ class TestSelectQPrimes:
             assert all(q % 2 == 1 for q in sel.q_primes)
             assert sel.max_q == max(sel.q_primes)
 
-    def test_ceiling(self):
+    def test_ceiling(self, monkeypatch):
+        monkeypatch.setattr(primeforge, "Q_CEILING", 3)
         with pytest.raises(SearchCapExceeded):
-            select_q_primes(2, search_ceiling=3)
+            select_q_primes(2)
 
     def test_max_q_growth_out_of_sample(self):
         # fit max_q <= A * n^(C*n) on n in 2..4, check it at n = 5, 6

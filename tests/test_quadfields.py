@@ -46,6 +46,18 @@ class TestFundamentalDiscriminant:
             QuadraticField(-5)
         assert QuadraticField(-20).delta == -20
 
+    def test_matches_oracle(self):
+        # the scalar rule reads the block engine's classes mod 16; the oracle
+        # checks the d = 1 (mod 4) / d = 4m definition integer by integer
+        want = set(fundamental_discs_oracle(2 * 10**4, "both"))
+        got = {d for a in range(1, 2 * 10**4 + 1) for d in (-a, a) if is_fundamental_discriminant(d)}
+        assert got == want
+        assert [d for d in range(-2, 3) if is_fundamental_discriminant(d)] == []
+        # odd parts that are large primes: 2^61 - 1 = 3 (mod 4), 2^89 - 1 = 3 (mod 4)
+        assert is_fundamental_discriminant(-(2**61 - 1)) and not is_fundamental_discriminant(2**61 - 1)
+        assert is_fundamental_discriminant(4 * (2**89 - 1)) and is_fundamental_discriminant(-8 * (2**89 - 1))
+        assert not is_fundamental_discriminant(16 * (2**89 - 1)) and not is_fundamental_discriminant(-9 * (2**61 - 1))
+
     @given(st.integers(min_value=-10**6, max_value=10**6))
     def test_fundamental_implies_residue(self, d):
         if is_fundamental_discriminant(d):
@@ -266,6 +278,11 @@ class TestSymbolColumns:
             for ps in (self.PRIMES[:n], self.PRIMES[-n:], self.PRIMES[:1]):
                 assert symbol_column(disc, ps).tolist() == self.scalar(disc, ps), (disc, len(ps))
         assert tables and set(tables) == {2}
+        # a column without 2 builds no table at all
+        tables.clear()
+        for disc in (-1048579, 10**12 + 5 * 10**6 + 1):
+            assert symbol_column(disc, self.PRIMES[1:]).tolist() == self.scalar(disc, self.PRIMES[1:]), disc
+        assert tables == []
 
     def test_two_by_residue_class(self, monkeypatch):
         tables = self.watch_tables(monkeypatch)

@@ -128,7 +128,7 @@ class TestDirichletL2:
     # an odd delta < 0 (7 * 71429), a -4m (m = 11 * 9091) and a +8m (m = 100003): the
     # period sum gives the series' value
     @pytest.mark.parametrize("delta", [-500003, -400004, 800024])
-    def test_block_size_leaves_value(self, delta):
+    def test_period_sum_gives_series_value(self, delta):
         want = dirichlet_L2(delta, 1e-13)
         got = dirichlet_L2_period_oracle(delta)
         assert abs(got - want) <= 1e-12, (got, want)
@@ -152,7 +152,7 @@ class TestDirichletL2:
     # dirichlet_L2_period_oracle is the second oracle.  tol is 1e-13: at the default
     # 1e-10 the value is up to 5e-12 off, inside its tol but not within 1e-12
     @pytest.mark.parametrize("delta", [-1000003, -1000007, -1000011])
-    def test_memory_is_one_table_and_one_block(self, delta):
+    def test_values_near_a_million_in_small_memory(self, delta):
         want = {-1000003: 0.6752204544954221, -1000007: 1.4188481402565414, -1000011: 0.8533807032261189}[delta]
         tracemalloc.start()
         try:

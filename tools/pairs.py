@@ -1,0 +1,100 @@
+"""Compare two quatsurf checkouts on the benchmark, in alternating pairs.
+
+    python3 tools/pairs.py --parent ../parent --change . --pairs 10 --seconds 18 [--workloads census,units] [--first-seed 1]
+
+Runs perfbench/run.py --trace 0 of each checkout, in that checkout, once per
+side for each pair: pair i uses seed first_seed + i on both sides, and the
+side that runs first alternates from pair to pair, so slow drift of the
+machine falls on both sides alike.  One child runs at a time, each with
+PYTHONDONTWRITEBYTECODE=1; a __pycache__ already under either checkout's src/
+is warned about, since a child that loads bytecode reads less peak RSS than
+one that compiles.  Nothing is written except what run.py itself writes
+(.perfbench_out/ in each checkout).
+
+For each workload and end-to-end metric of BENCHMARK.json it prints the
+median and quartiles (statistics.quantiles, n=4) of both sides, the pairs in
+which the change reads better, and the failed operations of each side.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+RUN_TIMEOUT_S = 600
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """First quartile, median and third quartile (one value is all three)."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
+def summarize(results: list[tuple[str, int, str, str]], better: dict[str, str]) -> list[str]:
+    """Summary lines from (workload, pair, side, line) tuples, side "parent" or
+    "change" and line the last stdout line of run.py (one JSON object); better
+    maps each metric to "lower" or "higher".  A pair counts as a win when both
+    sides ran and the change reads strictly better."""
+    runs: dict[str, dict[int, dict[str, dict]]] = {}
+    for workload, pair, side, line in results:
+        runs.setdefault(workload, {}).setdefault(pair, {})[side] = json.loads(line)
+    out = []
+    for workload, pairs in runs.items():
+        sides = {side: [r[side] for r in pairs.values() if side in r] for side in ("parent", "change")}
+        failed = {side: (sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)) for side, rs in sides.items()}
+        out.append(f"{workload}: {len(pairs)} pairs, failed operations parent {failed['parent'][0]}/{failed['parent'][1]}, change {failed['change'][0]}/{failed['change'][1]}")
+        for metric, direction in better.items():
+            values = {side: [r["metrics"][metric]["value"] for r in rs] for side, rs in sides.items()}
+            if not values["parent"] or not values["change"]:
+                continue
+            sign = 1 if direction == "lower" else -1
+            both = [r for r in pairs.values() if len(r) == 2]
+            wins = sum(sign * (r["change"]["metrics"][metric]["value"] - r["parent"]["metrics"][metric]["value"]) < 0 for r in both)
+            (p1, pm, p3), (c1, cm, c3) = quartiles(values["parent"]), quartiles(values["change"])
+            out.append(f"  {metric}: parent {pm:.4g} [{p1:.4g}-{p3:.4g}] -> change {cm:.4g} [{c1:.4g}-{c3:.4g}], change better in {wins}/{len(both)}")
+    return out
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: int) -> str:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    lines = proc.stdout.splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise RuntimeError(f"{root}: run.py --workload {workload} --seed {seed} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return lines[-1]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=18)
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--workloads", help="comma-separated (default: every workload of BENCHMARK.json)")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, root in trees.items():
+        if any((root / "src").rglob("__pycache__")):
+            sys.stderr.write(f"warning: {side} checkout {root} holds a __pycache__ under src/; delete it for a fair peak RSS\n")
+
+    results = []
+    for workload in workloads:
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                results.append((workload, i, side, run_once(trees[side], workload, seed, args.seconds)))
+                sys.stderr.write(f"{workload} pair {i + 1}/{args.pairs} {side} done\n")
+    print("\n".join(summarize(results, better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
