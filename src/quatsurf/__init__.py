@@ -6,6 +6,8 @@ discriminants, fundamental units and geodesic lengths, and the covolume and
 coarea formulas of the associated arithmetic groups.
 
 One thread per process: OPENBLAS_NUM_THREADS defaults to 1 unless already set.
+numpy loads only with quatsurf.cli or quatsurf.census, or at the first call
+that builds arrays; the census names below resolve on first access.
 """
 
 import os
@@ -16,16 +18,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .census import (
-    AlgebraCensus,
-    PrimePredicate,
-    algebra_census,
-    count_squarefree_over_P,
-    mean_value_fit,
-    prime_density_report,
-    ramification_probability_check,
-    wood_stats,
-)
 from .errors import (
     BoundaryPrimeError,
     BoundsTooSmall,
@@ -79,6 +71,26 @@ from .relquad import (
     splitting_in_L,
 )
 from .volumes import count_scaling, dirichlet_L2, fuchsian_coarea, kleinian_covolume
+
+
+def __getattr__(name):
+    """The census names, imported on first access (PEP 562): census is the one
+    module that loads numpy at import, so the scalar layer runs without it."""
+    census_names = (
+        "AlgebraCensus",
+        "PrimePredicate",
+        "algebra_census",
+        "count_squarefree_over_P",
+        "mean_value_fit",
+        "prime_density_report",
+        "ramification_probability_check",
+        "wood_stats",
+    )
+    if name in census_names:
+        from . import census
+        return getattr(census, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlgebraCensus",

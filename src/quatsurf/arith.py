@@ -1,14 +1,16 @@
 """Elementary integer arithmetic: primality, Kronecker symbols, modular square roots.
 
-Everything here is exact integer arithmetic; numpy only appears in the sieves
-(strike_strip strikes both the prime and squarefree strips), powmod and residues.
+Everything here is exact integer arithmetic.  Only the sieves (strike_strip
+strikes both the prime and squarefree strips), powmod and residues build numpy
+arrays, and each imports numpy in its own body, so the scalar functions run
+in a process that never loads it.
 """
+
+from __future__ import annotations
 
 import bisect
 import itertools
 import math
-
-import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -46,6 +48,7 @@ def strike_strip(lo: int, hi: int, primes: np.ndarray, moduli: np.ndarray) -> np
     moduli[j], a power of primes[j], at or above primes[j]^2 (moduli ascend): one
     slice per modulus no longer than the strip, and one scatter for the longer
     ones, which strike at most once.  Memory is the strip plus O(len(moduli))."""
+    import numpy as np
     strip = np.ones(max(0, hi - lo + 1), dtype=bool)
     k = bisect.bisect_right(moduli, len(strip))  # moduli[:k] are short
     short = primes[:k].tolist()
@@ -61,6 +64,7 @@ def prime_strip(lo: int, hi: int) -> np.ndarray:
     """The bool strip of [lo, hi]: entry i is True when lo + i is prime.  Segmented
     Eratosthenes (Bays-Hudson): strike_strip by the base primes up to sqrt(hi), so
     memory is the strip plus those primes, and callers walk long ranges by SEGMENT."""
+    import numpy as np
     if hi < lo:
         return np.zeros(0, dtype=bool)
     ps = primes_up_to(math.isqrt(max(hi, 0)))
@@ -71,6 +75,7 @@ def prime_strip(lo: int, hi: int) -> np.ndarray:
 
 def primes_between(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi], ascending, as an int64 array: the flattened prime_strip."""
+    import numpy as np
     lo = max(lo, 2)
     return np.flatnonzero(prime_strip(lo, hi)) + lo
 
@@ -87,7 +92,9 @@ def iter_primes(start: int = 2):
     ones, so a walk that stops early sieves little, and stop growing at one
     SEGMENT.  A far first window still sieves the primes up to sqrt(hi) (the
     first prime past 10^12 takes 0.1 s, past 10^14 0.2 s on a 2-vCPU VM); its
-    only callers, primeforge and quadfields.split_primes_prefix, start at 3."""
+    only caller, primeforge.select_q_primes, starts at 3.  One of its walks to
+    q = 3,480,877 (n = 16) takes 0.11 s in these windows, and 5.3 s by a
+    Miller-Rabin test per integer."""
     lo = max(2, start)
     while True:
         hi = lo + min(lo, SEGMENT)
@@ -209,6 +216,7 @@ POWMOD_LIMIT = 3 * 10**9  # int64 products of residues are exact while p^2 < 2^6
 
 def powmod(b: np.ndarray, e, p) -> np.ndarray:
     """b**e mod p elementwise (numpy broadcasting), for 0 <= b < p < POWMOD_LIMIT and e >= 0."""
+    import numpy as np
     r = np.ones(np.broadcast_shapes(np.shape(b), np.shape(e), np.shape(p)), dtype=np.int64)
     e = np.array(e, dtype=np.int64)
     while True:
@@ -221,6 +229,7 @@ def powmod(b: np.ndarray, e, p) -> np.ndarray:
 
 def residues(n: int, ps: np.ndarray) -> np.ndarray:
     """n mod p for every p in the int64 array ps, for a Python int n of any size (Horner in base 2^31)."""
+    import numpy as np
     digits = []
     m = abs(n)
     while m:

@@ -3,15 +3,17 @@
 A quadratic field is presented by its fundamental discriminant only; prime
 ideals are presented symbolically as (rational prime, square-root residue)
 pairs.  That encoding answers every splitting and norm question the rest of
-the package asks without any general ideal arithmetic.
+the package asks without any general ideal arithmetic.  The engines that
+build arrays import numpy in their own bodies; the scalar functions never load it.
 """
 
+from __future__ import annotations
+
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
-
-import numpy as np
 
 from . import arith
 
@@ -128,11 +130,13 @@ class SplitPrimePrefix(NamedTuple):
 
 
 def split_primes_prefix(k: QuadraticField, n: int) -> SplitPrimePrefix:
-    """The n smallest odd rational primes that split in k, ascending."""
+    """The n smallest odd rational primes that split in k, ascending, by a
+    Miller-Rabin test per integer: the walk stops at the n-th split prime,
+    too soon for a sieve window to pay for numpy."""
     if n < 1:
         raise ValueError("n must be >= 1")
     found: list[int] = []
-    for p in arith.iter_primes(3):
+    for p in filter(arith.is_prime, itertools.count(3)):
         if splitting(k, p) is SplitType.SPLIT:
             found.append(p)
             if len(found) == n:
@@ -157,6 +161,7 @@ def _fundamental_blocks(x: int, sign: str = "both") -> Iterator[tuple[int, np.nd
     One sign ANDs into the strip itself and yields it as a (1, n) view.  Memory is
     one block of the strip and the rows plus the odd primes p <= sqrt(x) and p^2.
     A bad sign or x above 2^53 raises ValueError at the call, before any block."""
+    import numpy as np
     if sign not in _SIGNS:
         raise ValueError(f"bad sign {sign!r}")
     if x > 2**53:
@@ -168,6 +173,7 @@ def _fundamental_blocks(x: int, sign: str = "both") -> Iterator[tuple[int, np.nd
 
 
 def _sign_blocks(x: int, block: int, rows: list[np.ndarray], odd: np.ndarray, squares: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    import numpy as np
     for lo in range(3, x + 1, block):
         sf = arith.strike_strip(lo, min(x, lo + block - 1), odd, squares)
         masks = sf[None] if len(rows) == 1 else np.empty((len(rows), len(sf)), dtype=bool)
@@ -180,6 +186,7 @@ def discriminant_blocks(x: int, sign: str = "both") -> Iterator[np.ndarray]:
     """The fundamental discriminants with |D| <= x as int64 arrays, one per
     block of BLOCK values of |D|; concatenated they run in ascending |D|, the
     negative one first.  Memory is bounded by BLOCK and sqrt(x)."""
+    import numpy as np
     for lo, masks in _fundamental_blocks(x, sign):
         i, row = np.nonzero(masks.T)  # ascending i, the rows of each i in sign order
         yield (lo + i) * np.array(_SIGNS[sign])[row]
@@ -191,6 +198,7 @@ def _kronecker_table(p: int) -> np.ndarray:
     ramifies (for p = 2 only the discriminant classes 0, 1, 4, 5 mod 8 occur).
     Built only for an array at least p long: the squares x^2 mod p, x <= p/2,
     are struck in one pass, so memory is the table plus 12p bytes of int64."""
+    import numpy as np
     if p == 2:
         return np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
     table = np.full(p, -1, dtype=np.int8)
@@ -204,6 +212,7 @@ def _character_parts(delta: int) -> list[np.ndarray]:
     """The periodic int8 tables whose product is chi_delta: chi_-4, chi_8 or
     chi_-8 (period 4 or 8) for the 2-part, then _kronecker_table(p) for each
     odd p | delta, so each period divides |delta|."""
+    import numpy as np
     if not is_fundamental_discriminant(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
     q = abs(delta)
@@ -220,6 +229,7 @@ def kronecker_row(discs: np.ndarray, p: int) -> np.ndarray:
     """(D|p) for each D of the int64 array discs, as int8: a _kronecker_table(p)
     lookup when p is at most the length of the row, else Euler's criterion
     (scalar symbols from POWMOD_LIMIT on), so the cost is bounded by the row."""
+    import numpy as np
     if p == 2 or p <= len(discs):
         return _kronecker_table(p)[discs % (8 if p == 2 else p)]
     if p < arith.POWMOD_LIMIT:
@@ -233,6 +243,7 @@ def symbol_column(disc: int, ps: np.ndarray) -> np.ndarray:
     from _character_parts(disc) at ps mod |disc| when |disc| <= len(ps), else
     Euler's criterion (scalar symbols from POWMOD_LIMIT on, p = 2 by table: only
     ps[0] can be 2)."""
+    import numpy as np
     if disc == 1:
         return np.ones(len(ps), dtype=np.int8)
     q = abs(disc)
@@ -254,6 +265,7 @@ def symbol_column(disc: int, ps: np.ndarray) -> np.ndarray:
 def fundamental_masks(x: int):
     """(neg, pos) bool arrays over 0 <= a <= x, filled block by block: neg[a]
     (pos[a]) true iff -a (+a) is a fundamental discriminant."""
+    import numpy as np
     blocks = _fundamental_blocks(x)  # refuses a bad x before the masks exist
     masks = np.zeros((2, x + 1), dtype=bool)
     for lo, block in blocks:
@@ -272,4 +284,5 @@ def count_fundamental_discriminants(x: int, sign: str = "both") -> int:
     """Count of fundamental discriminants with |delta| <= x (density 6/pi^2 for both signs):
     count_nonzero over the rows of _fundamental_blocks(x, sign), with no
     discriminant values built."""
+    import numpy as np
     return sum(int(np.count_nonzero(masks)) for _, masks in _fundamental_blocks(x, sign))

@@ -13,8 +13,6 @@ an algebra from the quadratic fields its rational ancestors can contain.
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from . import arith
 from .errors import BoundsTooSmall, CriterionOutOfScope, EmbeddingUndecidable
 from .quadfields import PrimeOfK, QuadraticField, SplitType, discriminant_blocks, kronecker_row, primes_above, splitting, symbol_column
@@ -192,6 +190,7 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
     auxiliary primes are one ascending list kept across blocks and sieved
     only as far as some block has needed them.
     """
+    import numpy as np
     pairing = fuchsian_admissible(b)
     if not pairing:
         raise ValueError("algebra is not a base change of a rational algebra")

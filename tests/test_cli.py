@@ -464,10 +464,12 @@ class TestDeterminism:
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
     @pytest.mark.parametrize("stmt", ["import quatsurf.cli", "from quatsurf import geodesics, volumes"])
     def test_import_runs_one_thread(self, stmt):
-        # numpy's OpenBLAS would otherwise start one worker per extra CPU
-        code = f"{stmt}; import os; print(len(os.listdir('/proc/self/task')))"
+        # numpy's OpenBLAS would otherwise start one worker per extra CPU; the
+        # scalar modules leave numpy unloaded, so an array engine loads it here
+        load = "from quatsurf import quadfields; quadfields.count_fundamental_discriminants(10**4)"
+        code = f"{stmt}; {load}; import os, sys; print(len(os.listdir('/proc/self/task')), 'numpy' in sys.modules)"
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=self._child_env())
-        assert res.stdout.strip() == "1"
+        assert res.stdout.strip() == "1 True"
 
     def test_explicit_blas_threads_win(self):
         code = "import os, quatsurf.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"

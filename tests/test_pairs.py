@@ -36,3 +36,19 @@ def test_higher_is_better_and_unpaired_runs():
     got = pairs.summarize(results, {"wall_s": "higher"})
     assert got[0] == "units: 2 pairs, failed operations parent 0/40, change 0/20"
     assert got[1] == "  wall_s: parent 1 [1-1] -> change 2 [2-2], change better in 1/1"
+
+
+def test_run_without_result_counts_as_failed_for_its_side():
+    # run.py printed no result line for the change side of pair 1: that pair
+    # has no win or loss, the other pairs still count
+    results = [
+        ("recover", 0, "parent", line(30.0, 1.0)),
+        ("recover", 0, "change", line(29.0, 1.0)),
+        ("recover", 1, "change", None),
+        ("recover", 1, "parent", line(30.2, 1.0)),
+    ]
+    got = pairs.summarize(results, {"peak_rss_mb": "lower"})
+    assert got == [
+        "recover: 2 pairs, failed operations parent 0/40, change 0/20, runs with no result parent 0, change 1",
+        "  peak_rss_mb: parent 30.1 [29.95-30.25] -> change 29 [29-29], change better in 1/1",
+    ]

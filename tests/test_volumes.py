@@ -120,7 +120,7 @@ class TestDirichletL2:
     # +4m (140), +8m (136, 152), -8m (-136, -152).  The series takes chi from
     # arith.kronecker, the period sum from one period of quadfields.symbol_column
     @pytest.mark.parametrize("delta", [-131, 129, 133, -132, 140, 136, 152, -136, -152])
-    def test_blocks_crossed(self, delta):
+    def test_every_two_part_class(self, delta):
         want = dirichlet_L2_oracle(delta)
         assert abs(dirichlet_L2(delta, 1e-10) - want) <= 1e-10
         assert abs(dirichlet_L2_period_oracle(delta) - want) <= 1e-12

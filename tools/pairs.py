@@ -13,7 +13,9 @@ one that compiles.  Nothing is written except what run.py itself writes
 
 For each workload and end-to-end metric of BENCHMARK.json it prints the
 median and quartiles (statistics.quantiles, n=4) of both sides, the pairs in
-which the change reads better, and the failed operations of each side.
+which the change reads better, and the failed operations of each side.  A run
+that prints no result line (or times out) counts as a failed run of its side:
+the comparison goes on, and the summary states how many runs each side lost.
 """
 
 import argparse
@@ -32,19 +34,29 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
 
-def summarize(results: list[tuple[str, int, str, str]], better: dict[str, str]) -> list[str]:
+def summarize(results: list[tuple[str, int, str, str | None]], better: dict[str, str]) -> list[str]:
     """Summary lines from (workload, pair, side, line) tuples, side "parent" or
-    "change" and line the last stdout line of run.py (one JSON object); better
-    maps each metric to "lower" or "higher".  A pair counts as a win when both
-    sides ran and the change reads strictly better."""
+    "change" and line the last stdout line of run.py (one JSON object), or None
+    for a run that gave no result; better maps each metric to "lower" or
+    "higher".  A pair counts as a win when both sides ran and the change reads
+    strictly better."""
     runs: dict[str, dict[int, dict[str, dict]]] = {}
+    lost: dict[tuple[str, str], int] = {}
     for workload, pair, side, line in results:
-        runs.setdefault(workload, {}).setdefault(pair, {})[side] = json.loads(line)
+        sides = runs.setdefault(workload, {}).setdefault(pair, {})
+        if line is None:
+            lost[workload, side] = lost.get((workload, side), 0) + 1
+        else:
+            sides[side] = json.loads(line)
     out = []
     for workload, pairs in runs.items():
         sides = {side: [r[side] for r in pairs.values() if side in r] for side in ("parent", "change")}
         failed = {side: (sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)) for side, rs in sides.items()}
-        out.append(f"{workload}: {len(pairs)} pairs, failed operations parent {failed['parent'][0]}/{failed['parent'][1]}, change {failed['change'][0]}/{failed['change'][1]}")
+        head = f"{workload}: {len(pairs)} pairs, failed operations parent {failed['parent'][0]}/{failed['parent'][1]}, change {failed['change'][0]}/{failed['change'][1]}"
+        lost_parent, lost_change = lost.get((workload, "parent"), 0), lost.get((workload, "change"), 0)
+        if lost_parent or lost_change:
+            head += f", runs with no result parent {lost_parent}, change {lost_change}"
+        out.append(head)
         for metric, direction in better.items():
             values = {side: [r["metrics"][metric]["value"] for r in rs] for side, rs in sides.items()}
             if not values["parent"] or not values["change"]:
@@ -57,13 +69,20 @@ def summarize(results: list[tuple[str, int, str, str]], better: dict[str, str]) 
     return out
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> str:
+def run_once(root: Path, workload: str, seed: int, seconds: int) -> str | None:
+    """The result line of one run.py, or None, with the reason on stderr, when it gives none."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    where = f"{root}: run.py --workload {workload} --seed {seed}"
+    try:
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        sys.stderr.write(f"{where} timed out after {RUN_TIMEOUT_S} s\n")
+        return None
     lines = proc.stdout.splitlines()
     if not lines or not lines[-1].startswith("{"):
-        raise RuntimeError(f"{root}: run.py --workload {workload} --seed {seed} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+        sys.stderr.write(f"{where} exited {proc.returncode} with no result line: {proc.stderr.strip()[-500:]}\n")
+        return None
     return lines[-1]
 
 
