@@ -1,9 +1,9 @@
 """Elementary integer arithmetic: primality, Kronecker symbols, modular square roots.
 
 Everything here is exact integer arithmetic.  Only the sieves (strike_strip
-strikes both the prime and squarefree strips), powmod and residues build numpy
-arrays, and each imports numpy in its own body, so the scalar functions run
-in a process that never loads it.
+strikes both the odd-only prime strips and the squarefree strips), powmod and
+residues build numpy arrays, and each imports numpy in its own body, so the
+scalar functions run in a process that never loads it.
 """
 
 from __future__ import annotations
@@ -40,48 +40,54 @@ def is_prime(n: int) -> bool:
 
 
 SEGMENT = 1 << 20
-"""Integers per sieve window: a 1 MB bool prime_strip."""
+"""Integers per sieve window: a 512 KB bool prime_strip of its odd values."""
 
 
-def strike_strip(lo: int, hi: int, primes: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """The bool strip of [lo, hi] (empty for hi < lo), struck at the multiples of
-    moduli[j], a power of primes[j], at or above primes[j]^2 (moduli ascend): one
-    slice per modulus no longer than the strip, and one scatter for the longer
-    ones, which strike at most once.  Memory is the strip plus O(len(moduli))."""
+def strike_strip(lo: int, hi: int, primes: np.ndarray, moduli: np.ndarray, step: int = 1) -> np.ndarray:
+    """The bool strip of lo, lo + step, ... up to hi (empty for hi < lo), struck
+    at the multiples of moduli[j], a power of primes[j], at or above primes[j]^2
+    (moduli ascend): one slice per modulus no longer than the strip, and one
+    scatter for the longer ones, which strike at most once.  Step 2 takes an odd
+    lo and odd moduli, whose odd multiples lie m entries apart, the first at
+    index (m - lo)/2 mod m.  Memory is the strip plus O(len(moduli))."""
     import numpy as np
-    strip = np.ones(max(0, hi - lo + 1), dtype=bool)
+    strip = np.ones(max(0, (hi - lo) // step + 1), dtype=bool)
     k = bisect.bisect_right(moduli, len(strip))  # moduli[:k] are short
     short = primes[:k].tolist()
     for p, m in zip(short, short if moduli is primes else moduli[:k].tolist()):  # from the first multiple at or above max(lo, p^2)
-        strip[(-lo) % m if p * p <= lo else -(-p * p // m) * m - lo :: m] = False
+        strip[(m - lo) // step % m if p * p <= lo else (-(-p * p // m) * m - lo) // step :: m] = False
     if k < len(moduli):  # skipped when all are short, so such strips make no further numpy call
-        first = (-lo) % moduli[k:]  # lo + first is each long modulus' first multiple at or above lo
-        strip[first[(first < len(strip)) & (first + lo >= primes[k:] ** 2)]] = False
+        first = (-lo) % moduli[k:] if step == 1 else (moduli[k:] - lo) // 2 % moduli[k:]  # lo + step * first: each long modulus' first multiple in the strip
+        strip[first[(first < len(strip)) & (lo + step * first >= primes[k:] ** 2)]] = False
     return strip
 
 
 def prime_strip(lo: int, hi: int) -> np.ndarray:
-    """The bool strip of [lo, hi]: entry i is True when lo + i is prime.  Segmented
-    Eratosthenes (Bays-Hudson): strike_strip by the base primes up to sqrt(hi), so
-    memory is the strip plus those primes, and callers walk long ranges by SEGMENT."""
+    """The bool strip of the odd values of [lo, hi]: entry i is True when
+    (lo | 1) + 2i is prime, so a SEGMENT window takes 512 KB.  Segmented
+    Eratosthenes (Bays-Hudson) on the odd numbers: strike_strip by the odd base
+    primes up to sqrt(hi), so memory is the strip plus those primes, and callers
+    walk long ranges by SEGMENT."""
     import numpy as np
     if hi < lo:
         return np.zeros(0, dtype=bool)
-    ps = primes_up_to(math.isqrt(max(hi, 0)))
-    strip = strike_strip(lo, hi, ps, ps)
-    strip[: max(0, 2 - lo)] = False
+    odd = primes_up_to(math.isqrt(max(hi, 0)))[1:]
+    strip = strike_strip(lo | 1, hi, odd, odd, 2)
+    strip[: max(0, (3 - (lo | 1)) // 2)] = False  # the odd values up to 1
     return strip
 
 
 def primes_between(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi], ascending, as an int64 array: the flattened prime_strip."""
+    """Primes in [lo, hi], ascending, as an int64 array: the flattened
+    prime_strip, with 2 in front when it is in range."""
     import numpy as np
     lo = max(lo, 2)
-    return np.flatnonzero(prime_strip(lo, hi)) + lo
+    ps = np.flatnonzero(prime_strip(lo, hi)) * 2 + (lo | 1)
+    return np.concatenate(([2], ps)) if lo == 2 <= hi else ps
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array, from one strip of n bytes."""
+    """All primes <= n as an int64 array, from one odd-only strip of n/2 bytes."""
     return primes_between(2, n)
 
 

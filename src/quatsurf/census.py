@@ -9,18 +9,22 @@ two paths, chosen from the input alone.  When k has class number one, every
 split prime is a value of the principal form, and membership for the
 generators with lcm(4*N(beta)) <= TABLE_MODULUS is a function of the
 argument classes mod that lcm (_class_table); each segment walks the lattice
-points of the admitted classes only (_walk_segment).  Otherwise the primes
-come from the strip, and each fixed symbol (delta|p) or (x^2 - delta|p) is
-one quadfields.symbol_column of the discriminant of Q(sqrt(delta)) or
-Q(sqrt(x^2 - delta)).  Either way each generator left costs one power of
+points of the admitted classes only and marks them in the window's odd-only
+strip in place, so no segment collects or sorts its primes (_walk_segment).
+Otherwise the primes come from the strip, and each fixed symbol (delta|p) or
+(x^2 - delta|p) is one quadfields.symbol_column of the discriminant of
+Q(sqrt(delta)) or Q(sqrt(x^2 - delta)).  Either way each generator left costs one power of
 x + sqrt(delta) in F_p[t]/(t^2 - delta), Euler's criterion in the split
 algebra, so no square root mod p is taken.  Single queries (in_P) take the
 Kronecker symbols (delta|p) and (x +- r|p) at r = arith.mod_sqrt(delta, p),
-exact for any p.  Squarefree integers supported on P are products of distinct
-members, expanded level by level in numpy; counts expand only the products
-that have children of their own and count the rest by searchsorted.
+exact for any p.  The members are held once, as one uint32 array that each
+segment extends in place (PrimePredicate.members_up_to).  Squarefree integers
+supported on P are products of distinct members, expanded level by level in
+numpy; counts expand only the products that have children of their own and
+count the rest by searchsorted.
 """
 
+import bisect
 import contextlib
 import functools
 import itertools
@@ -70,7 +74,8 @@ WALK_CHUNK = 1 << 13
 """Lattice points per repeat/cumsum expansion of the principal-form walk, and
 runs per block of b: each int64 array of a block or a chunk is 64 KB, under
 glibc's 128 KiB mmap threshold, so chunks reuse freed heap pages instead of
-mapping fresh ones."""
+mapping fresh ones.  A chunk marks its points in the prime strip and is
+freed, so no per-chunk result outlives it."""
 
 
 def _table_plan(delta: int, xs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -136,18 +141,27 @@ def _walk_segment(delta: int, table: np.ndarray, lo: int, hi: int) -> np.ndarray
     lo <= f(a, b) <= hi.  Each admitted residue a0 of the column b mod M gives
     one run a0 + M*j.  The b are taken in blocks of at most WALK_CHUNK runs,
     and the runs expanded with repeat and cumsum at most WALK_CHUNK points at
-    a time, so memory is the window's arith.prime_strip, which decides
-    primality, plus a few int64 arrays of WALK_CHUNK entries at any lo, each
-    small enough to come from the heap rather than fresh mapped pages.
+    a time, so memory is the window's odd-only arith.prime_strip (512 KB),
+    which decides primality, plus a few int64 arrays of WALK_CHUNK entries at
+    any lo, each small enough to come from the heap rather than fresh mapped
+    pages.
+
+    Every point is odd: _class_table admits no class whose f(a0, b0) shares a
+    factor with M, and 4 divides M.  So the point v sits at entry (v - lo) >> 1
+    of the strip, for either parity of lo.  Viewed as uint8, the strip has
+    that entry doubled for each chunk's points in range; one fancy-index
+    assignment doubles a repeated point once, and the sectors above find each
+    prime once, so a prime's entry reaches 2 at most.  One right shift in
+    place leaves 1 exactly at the primes walked, read in ascending order by
+    one flatnonzero: no chunk's points are kept, concatenated or sorted.
     """
     M = len(table)
     B, q = delta & 1, -delta
     C = (B + q) // 4
-    strip = arith.prime_strip(lo, hi)
+    strip = arith.prime_strip(lo, hi).view(np.uint8)
     counts = np.count_nonzero(table, axis=0)
     width = int(counts.max())
     residues = np.argsort(~table, axis=0, kind="stable")[:width].T  # row b0: its admitted a0 first
-    found = [np.empty(0, dtype=np.int64)]
     b_top = math.isqrt(4 * hi // q)
     step = WALK_CHUNK // max(width, 1)  # b per block, so a block has at most WALK_CHUNK runs
     for b_lo in range(1, b_top + 1, step):
@@ -175,10 +189,10 @@ def _walk_segment(delta: int, table: np.ndarray, lo: int, hi: int) -> np.ndarray
             bb *= bb
             bb *= C
             v += bb
-            v = v[(v >= lo) & (v <= hi)]
-            found.append(v[strip[v - lo]])
+            strip[(v[(v >= lo) & (v <= hi)] - lo) >> 1] <<= 1  # duplicates double once
             i = j
-    return np.sort(np.concatenate(found))
+    strip >>= 1
+    return np.flatnonzero(strip) * 2 + (lo | 1)
 
 
 def _scan_segment(
@@ -240,7 +254,7 @@ class PrimePredicate:
         # the squarefree kernel a of n, or 4a when a != 1 (mod 4)
         kernels = [math.prod(q for q, e in f.items() if e % 2) * (1 if n > 0 else -1) for n, f in zip(values, factors)]
         self._discs = tuple(a if a % 4 == 1 else 4 * a for a in kernels)
-        self._members = np.empty(0, dtype=np.int64)
+        self._members = np.empty(0, dtype=np.uint32)
         self._scanned_to = 1
 
     def in_P(self, p: int) -> bool:
@@ -267,12 +281,22 @@ class PrimePredicate:
         return functools.partial(_scan_segment, self.delta_k, tuple(x for x, _ in rest), tuple(sorted(self.boundary)), discs, table)
 
     def members_up_to(self, bound: int, shards: int = 1, progress: Callable[[int], None] | None = None) -> np.ndarray:
-        """Ascending int64 array of the members of P up to bound (cached).
+        """Ascending uint32 array of the members of P up to bound (cached).
 
         The scan runs in segments of SEGMENT integers; shards > 1 spreads them
         over at most _usable_cpus() worker processes.  progress(hi) is called
         once per segment, in ascending order.  Bounds from SCAN_LIMIT on are
-        refused, since the int64 arithmetic would no longer be exact.
+        refused, since the int64 arithmetic would no longer be exact; below
+        it every member fits in 32 bits.
+
+        The result is a view of the cache, one numpy array to which each
+        segment's members are appended in place: ndarray.resize reallocs it
+        (mremap once it is large, so its pages are not copied), by exactly the
+        segment's members, so it holds no zero-filled slack and the members
+        are never held twice.  A scan past the cache starts from one copy of
+        it, so a view handed out earlier keeps the old array and stays valid.
+        Callers that search the result keep their keys uint32, or numpy would
+        search an int64 copy.
         """
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -283,7 +307,7 @@ class PrimePredicate:
             los = range(self._scanned_to + 1, bound + 1, SEGMENT)
             his = [min(bound, lo + SEGMENT - 1) for lo in los]
             workers = min(shards, _usable_cpus(), len(los))
-            chunks = [self._members]
+            members = self._members.copy()  # views handed out keep the old array
             with contextlib.ExitStack() as stack:
                 if workers > 1:
                     from concurrent.futures import ProcessPoolExecutor  # only sharded scans pay its import
@@ -292,12 +316,14 @@ class PrimePredicate:
                 else:
                     results = map(scan, los, his)
                 for hi, found in zip(his, results):
-                    chunks.append(found)
-                    if progress is not None:
+                    n = len(members)
+                    members.resize(n + len(found))  # realloc: no second copy of the members
+                    members[n:] = found
+                    if progress:
                         progress(hi)
-            self._members = np.concatenate(chunks)
+            self._members = members
             self._scanned_to = bound
-        return self._members[: int(np.searchsorted(self._members, bound, side="right"))]
+        return self._members[: bisect.bisect_right(self._members, bound)]
 
 
 class DensityRow(NamedTuple):
@@ -331,31 +357,32 @@ def prime_density_report(pred: PrimePredicate, bound: int, checkpoints: Sequence
 
     For a family of n extensions the normalized count approaches 1/2^(2n+1):
     split primes have density 1/2 and each of the 2n nonsquare conditions
-    halves it again.  The counts read pred.members_up_to(bound), which scans
-    only past what the predicate has cached: a caller that wants shards or
-    progress scans first with members_up_to(bound, shards=..., progress=...).
+    halves it again.  The counts read pred.members_up_to(c) at each
+    checkpoint c, which scans only past what the predicate has cached: a
+    caller that wants shards or progress scans first with
+    members_up_to(bound, shards=..., progress=...).
     """
     if bound < 100:
         raise ValueError("bound too small to say anything")
     cps = sorted(set(checkpoints)) if checkpoints else default_checkpoints(bound)
     if cps[-1] > bound:
         raise ValueError("checkpoint beyond the scan bound")
-    counts = np.searchsorted(pred.members_up_to(bound), cps, side="right").tolist()
-    return DensityReport([DensityRow(c, n, n * math.log(c) / c) for c, n in zip(cps, counts)])
+    return DensityReport([DensityRow(c, n, n * math.log(c) / c) for c, n in zip(cps, map(len, map(pred.members_up_to, cps)))])
 
 
 def _squarefree_levels(members: np.ndarray, keys: np.ndarray, bound: int):
     """Levels k = 0, 1, ... of products v of k distinct members of the
-    ascending int64 array members, as arrays (v, i) with members[i] the
+    ascending uint32 array members, as arrays (v, i) with members[i] the
     largest factor of v; level 0 is the empty product v = 1, i = -1.
 
     The children of v are v * members[j] for the j > i with
     keys[j] <= bound // v, a run found by searchsorted in the ascending keys
     and expanded with repeat and cumsum; keys = members gives every product
-    <= bound.  Every product is at most bound, so int64 stays exact for any
-    scannable bound.
+    <= bound (bound >= 0).  Every product is at most bound < SCAN_LIMIT < 2^32,
+    so the products and the searchsorted keys bound // v stay exact in uint32,
+    the dtype of members, which numpy therefore searches without a copy.
     """
-    vals, last = np.ones(1, dtype=np.int64), np.full(1, -1)
+    vals, last = np.ones(1, dtype=np.uint32), np.full(1, -1)
     while len(vals):
         yield vals, last
         counts = np.maximum(np.searchsorted(keys, bound // vals, side="right") - last - 1, 0)
@@ -374,7 +401,8 @@ def count_squarefree_over_P(pred: PrimePredicate, bound: int) -> int:
     Only the internal nodes, the v with v * m_(i+1) <= bound, are expanded:
     the child v * m_j is internal exactly when m_j * m_(j+1) <= bound // v,
     so the pair products m_j * m_(j+1) are the keys of _squarefree_levels,
-    built only for m_j <= isqrt(bound), since no later pair fits under bound.
+    built only for m_j <= isqrt(bound), since no later pair fits under bound,
+    and in int64, since a pair past isqrt(bound) can pass 2^32.
     Level 0, the empty product, counts every member.  Memory is the member
     array plus the internal nodes of one level: 150, 102 and 2 at 10^8 for
     (-4, n = 1), whose levels hold 850,463 products.
@@ -382,7 +410,7 @@ def count_squarefree_over_P(pred: PrimePredicate, bound: int) -> int:
     if bound < 2:
         return 0
     members = pred.members_up_to(bound)
-    head = members[: np.searchsorted(members, math.isqrt(bound), side="right") + 1]
+    head = members[: len(pred.members_up_to(math.isqrt(bound))) + 1].astype(np.int64)
     levels = _squarefree_levels(members, head[:-1] * head[1:], bound)
     return sum(int(np.sum(np.searchsorted(members, bound // v, side="right") - i - 1)) for v, i in levels)
 
@@ -390,7 +418,7 @@ def count_squarefree_over_P(pred: PrimePredicate, bound: int) -> int:
 def squarefree_values(pred: PrimePredicate, bound: int) -> list[int]:
     """The squarefree P-supported values up to bound, ascending."""
     members = pred.members_up_to(bound)
-    return np.sort(np.concatenate([v for v, _ in _squarefree_levels(members, members, bound)]))[1:].tolist()
+    return np.sort(np.concatenate([v for v, _ in _squarefree_levels(members, members, max(bound, 0))]))[1:].tolist()
 
 
 class FitRow(NamedTuple):

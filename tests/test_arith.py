@@ -55,16 +55,22 @@ class TestPrimesBetween:
             assert got.tolist() == want == [n for n in range(lo, hi + 1) if arith.is_prime(n)], (lo, hi)
 
     def test_prime_strip(self):
-        # the strip primes_between flattens: lo = 0 and 1 strike themselves, as does a
-        # window wholly below 0, windows straddle SEGMENT edges and a prime square, and
-        # empty ranges give empty strips
+        # the odd-only strip primes_between flattens: entry i stands for (lo | 1) + 2i.
+        # 1 and the odd values below it strike themselves, as does a window wholly
+        # below 0; windows straddle SEGMENT edges and odd prime squares, with every
+        # parity of lo and hi; empty ranges, and ranges holding no odd value, give
+        # empty strips, and primes_between adds 2 back when it is in range
         cases = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 100), (2, 2), (2, 100), (0, 1000), (-3, 3), (-10, -5), (5, 4), (100, 99)]
+        cases += [(lo, hi) for lo in (0, 1, 2, 3) for hi in (lo - 1, lo, lo + 1, 4, 5, 8, 9)]
         cases += [(k * arith.SEGMENT - 40, k * arith.SEGMENT + 40) for k in (1, 2)] + [(1009**2 - 5, 1009**2 + 5)]
+        cases += [(p * p - d, p * p + e) for p in (3, 5, 7, 31, 1009) for d in (0, 1, 2) for e in (0, 1, 2)]
         for lo, hi in cases:
             strip = arith.prime_strip(lo, hi)
-            assert strip.dtype == bool and len(strip) == max(0, hi - lo + 1), (lo, hi)
+            odd = lo | 1
+            assert strip.dtype == bool and len(strip) == max(0, (hi - odd) // 2 + 1), (lo, hi)
             want = [n for n in range(lo, hi + 1) if arith.is_prime(n)]
-            assert (np.flatnonzero(strip) + lo).tolist() == want == arith.primes_between(lo, hi).tolist(), (lo, hi)
+            assert (np.flatnonzero(strip) * 2 + odd).tolist() == [n for n in want if n != 2], (lo, hi)
+            assert arith.primes_between(lo, hi).tolist() == want, (lo, hi)
 
     def test_primes_up_to(self):
         for n in (-3, 0, 1, 2, 3, 4, 25, 26, 10**5):
@@ -91,6 +97,9 @@ class TestStrikeStrip:
                 assert strip.tolist() == self.brute(lo, hi, primes.tolist(), moduli.tolist()), (lo, hi, moduli[:2])
             odd = primes[1:]
             assert arith.strike_strip(lo, hi, odd, odd**2).tolist() == self.brute(lo, hi, odd.tolist(), (odd**2).tolist()), (lo, hi)
+            for moduli in (odd, odd**2, odd**3):  # step 2: the odd values lo | 1, (lo | 1) + 2, ...
+                want = self.brute(lo | 1, hi, odd.tolist(), moduli.tolist())[::2]
+                assert arith.strike_strip(lo | 1, hi, odd, moduli, 2).tolist() == want, (lo, hi, moduli[:2])
 
 
 class TestSquarefree:

@@ -295,9 +295,10 @@ class TestMembersScan:
         assert table.any() and checked > M * M // 4
 
     def test_scan_memory(self):
-        # the walk holds one SEGMENT strip (1 MB) and the members so far (0.66 MB
-        # at 10^7) next to a few WALK_CHUNK arrays of 64 KB; it peaks at about
-        # 2.1 MiB, and at 2.8-3.0 MiB with 256 KB chunk arrays
+        # the walk holds one odd-only SEGMENT strip (512 KB), which it marks in
+        # place, and the uint32 members so far (0.32 MB at 10^7, grown in place)
+        # next to a few WALK_CHUNK arrays of 64 KB; no list of chunk results and
+        # no sort.  It peaks at 1.31-1.41 MiB
         import tracemalloc
 
         for delta in (-3, -4, -8):
@@ -308,7 +309,33 @@ class TestMembersScan:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 2.5 * 2**20, (delta, peak)
+            assert peak < 1.65 * 2**20, (delta, peak)
+
+    def test_members_held_once(self):
+        # 720,255 members to 10^8: 2.75 MiB in uint32, appended in place, so
+        # the scan peaks at 3.8 MiB; merging a copy of them, or an int64 array
+        # held twice (11 MiB), breaks the bound
+        import tracemalloc
+
+        pred = PrimePredicate(-4, construct_fields(-4, 1).extensions)
+        tracemalloc.start()
+        try:
+            members = pred.members_up_to(10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(members) == 720_255
+        assert peak < 8 * 2**20, peak
+
+    def test_scan_past_cache_keeps_views(self, family_n1):
+        # an incremental scan copies the cache once, so a view handed out
+        # before it still reads the members it was given
+        pred = PrimePredicate(-4, family_n1.extensions)
+        view = pred.members_up_to(SEGMENT)
+        before = view.tolist()
+        extended = pred.members_up_to(3 * SEGMENT + 5)
+        assert view.tolist() == before and before == extended[extended <= SEGMENT].tolist()
+        assert np.array_equal(extended, PrimePredicate(-4, family_n1.extensions).members_up_to(3 * SEGMENT + 5))
 
     def test_in_P_beyond_scan_limit(self, predicate_n1):
         from sympy.ntheory import is_quad_residue, sqrt_mod

@@ -209,12 +209,13 @@ class TestDiscriminantEnumeration:
 
     def test_one_strip_per_block(self, monkeypatch):
         # D = -a and D = +a are both read off the odd-squarefree strip over a;
-        # the strips struck by primes are the base-prime sieve's, all before the first block
+        # the strips struck by primes are the base-prime sieve's odd-only strips
+        # (step 2), all before the first block
         strike, calls = arith.strike_strip, []
 
-        def spy(lo, hi, primes, moduli):
+        def spy(lo, hi, primes, moduli, step=1):
             calls.append((lo, hi, len(primes) > 0 and np.array_equal(moduli, primes**2)))
-            return strike(lo, hi, primes, moduli)
+            return strike(lo, hi, primes, moduli, step)
 
         monkeypatch.setattr(quadfields, "BLOCK", 64)
         monkeypatch.setattr(arith, "strike_strip", spy)

@@ -13,7 +13,10 @@ one that compiles.  Nothing is written except what run.py itself writes
 
 For each workload and end-to-end metric of BENCHMARK.json it prints the
 median and quartiles (statistics.quantiles, n=4) of both sides, the pairs in
-which the change reads better, and the failed operations of each side.  A run
+which the change reads better, whether that gain is resolved, and the failed
+operations of each side.  A gain is resolved when the change reads better in
+at least 9/10 of the pairs and its median is better than the parent's by more
+than the parent's interquartile range; anything else prints unresolved.  A run
 that prints no result line (or times out) counts as a failed run of its side:
 the comparison goes on, and the summary states how many runs each side lost.
 """
@@ -39,7 +42,7 @@ def summarize(results: list[tuple[str, int, str, str | None]], better: dict[str,
     "change" and line the last stdout line of run.py (one JSON object), or None
     for a run that gave no result; better maps each metric to "lower" or
     "higher".  A pair counts as a win when both sides ran and the change reads
-    strictly better."""
+    strictly better; ties count for neither side."""
     runs: dict[str, dict[int, dict[str, dict]]] = {}
     lost: dict[tuple[str, str], int] = {}
     for workload, pair, side, line in results:
@@ -65,7 +68,9 @@ def summarize(results: list[tuple[str, int, str, str | None]], better: dict[str,
             both = [r for r in pairs.values() if len(r) == 2]
             wins = sum(sign * (r["change"]["metrics"][metric]["value"] - r["parent"]["metrics"][metric]["value"]) < 0 for r in both)
             (p1, pm, p3), (c1, cm, c3) = quartiles(values["parent"]), quartiles(values["change"])
-            out.append(f"  {metric}: parent {pm:.4g} [{p1:.4g}-{p3:.4g}] -> change {cm:.4g} [{c1:.4g}-{c3:.4g}], change better in {wins}/{len(both)}")
+            resolved = both and 10 * wins >= 9 * len(both) and sign * (pm - cm) > p3 - p1
+            verdict = "resolved" if resolved else "unresolved"
+            out.append(f"  {metric}: parent {pm:.4g} [{p1:.4g}-{p3:.4g}] -> change {cm:.4g} [{c1:.4g}-{c3:.4g}], change better in {wins}/{len(both)}, {verdict}")
     return out
 
 
