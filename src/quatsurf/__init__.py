@@ -47,8 +47,10 @@ from .quadfields import (
     fundamental_discriminants,
     is_fundamental_discriminant,
     primes_above,
+    ramification_probability_check,
     split_primes_prefix,
     splitting,
+    wood_stats,
 )
 from .quatalg import (
     QuatAlgK,
@@ -83,8 +85,6 @@ def __getattr__(name):
         "count_squarefree_over_P",
         "mean_value_fit",
         "prime_density_report",
-        "ramification_probability_check",
-        "wood_stats",
     )
     if name in census_names:
         from . import census

@@ -1,4 +1,4 @@
-"""Counting engines: restricted prime sets, squarefree censuses, splitting statistics.
+"""Counting engines: restricted prime sets and squarefree censuses.
 
 The prime set P attached to a family of relative quadratic extensions
 consists of the rational primes p that split in the base field k and whose
@@ -35,9 +35,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import arith, quadfields
+from . import arith
 from .errors import BoundaryPrimeError, VerificationError
-from .quadfields import QuadraticField, kronecker_row, primes_above, symbol_column
+from .quadfields import QuadraticField, primes_above, symbol_column
 from .quatalg import QuatAlgK, embeds, fuchsian_admissible
 from .relquad import RelQuadExt
 
@@ -317,7 +317,9 @@ class PrimePredicate:
                     results = map(scan, los, his)
                 for hi, found in zip(his, results):
                     n = len(members)
-                    members.resize(n + len(found))  # realloc: no second copy of the members
+                    # no refcheck, which a tracer's extra references would trip: members is this scan's own copy,
+                    # and its one view, members[n:], dies before the next resize
+                    members.resize(n + len(found), refcheck=False)  # realloc: no second copy of the members
                     members[n:] = found
                     if progress:
                         progress(hi)
@@ -498,89 +500,3 @@ def algebra_census(pred: PrimePredicate, x_bound: int) -> AlgebraCensus:
                 raise VerificationError(f"census algebra for d={d} rejects an extension")
         algebras.append(alg)
     return AlgebraCensus(delta_k, ds, algebras)
-
-
-class WoodStats(NamedTuple):
-    count: int
-    predicted: float
-    ratio: float | None
-
-
-def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats:
-    """Count imaginary fundamental discriminants with prescribed splitting.
-
-    Counts |delta| <= x with q_split split and every listed prime inert, and
-    compares with the independence heuristic
-    (6/pi^2)*x * (1/2) * prod ell/(2*ell+2): the per-prime factor is the
-    probability of either prescribed behavior, after ramification eats
-    1/(ell+1).  Contradictory constraints (one prime on both sides) give
-    count 0 and predicted 0.
-
-    Reads the imaginary row of _fundamental_blocks.  (-a|q) depends on a mod m,
-    m = q (8 for q = 2), so a condition with q <= BLOCK is a periodic bool
-    pattern, one kronecker_row over a period, built once per call as a run one
-    block longer than its period (np.resize, m + BLOCK entries); each block ANDs
-    the slice of each run at lo mod m into the row in place, so memory is bounded
-    by BLOCK, sqrt(x) and the runs, and no block allocates a window.  A q > BLOCK falls
-    back to kronecker_row on the survivors of the short conditions, the only
-    discriminant values built.
-    """
-    if x < 10**4:
-        raise ValueError("x too small for meaningful statistics")
-    q_inert = list(q_inert)
-    if len(set(q_inert)) != len(q_inert):
-        raise ValueError("duplicate primes in the inert list")
-    conditions = [(q, -1) for q in q_inert] + ([(q_split, 1)] if q_split is not None else [])
-    for q, _ in conditions:
-        if not arith.is_prime(q):
-            raise ValueError(f"{q} is not prime")
-    if q_split is not None and q_split in q_inert:
-        return WoodStats(0, 0.0, None)
-
-    n = min(x, quadfields.BLOCK)
-    patterns = [kronecker_row(-np.arange(8 if q == 2 else q), q) == symbol for q, symbol in conditions if q <= quadfields.BLOCK]
-    short = [(len(pattern), np.resize(pattern, len(pattern) + n)) for pattern in patterns]
-    long = [(q, symbol) for q, symbol in conditions if q > quadfields.BLOCK]
-    count = 0
-    for lo, (neg,) in quadfields._fundamental_blocks(x, "imaginary"):
-        for m, run in short:
-            neg &= run[lo % m :][: len(neg)]
-        if long:
-            discs = -(lo + np.flatnonzero(neg))
-            for q, symbol in long:
-                discs = discs[kronecker_row(discs, q) == symbol]
-            count += len(discs)
-        else:
-            count += int(np.count_nonzero(neg))
-
-    predicted = (6 / math.pi**2) * x * 0.5
-    for q, _ in conditions:
-        predicted *= q / (2 * q + 2)
-    return WoodStats(count, predicted, count / predicted if predicted > 0 else None)
-
-
-class RamificationCheck(NamedTuple):
-    count: int
-    total: int
-    ratio: float
-    target: float
-
-
-def ramification_probability_check(ell: int, x: int) -> RamificationCheck:
-    """Fraction of fundamental discriminants |delta| <= x divisible by ell.
-
-    Divisibility by ell is exactly ramification of ell; across the family of
-    quadratic fields (both signatures) the fraction converges to 1/(ell+1).
-    Reads both rows of _fundamental_blocks: ell | delta = +-a is the column
-    slice masks[:, (-lo) % ell :: ell] of a block starting at a = lo, for any
-    ell, so no discriminant values and no kronecker_row are needed.
-    """
-    if not arith.is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if x < 10**4:
-        raise ValueError("x too small for meaningful statistics")
-    count = total = 0
-    for lo, masks in quadfields._fundamental_blocks(x):
-        total += int(np.count_nonzero(masks))
-        count += int(np.count_nonzero(masks[:, (-lo) % ell :: ell]))
-    return RamificationCheck(count, total, count / total, 1 / (ell + 1))

@@ -33,13 +33,12 @@ from .census import (
     default_checkpoints,
     mean_value_fit,
     prime_density_report,
-    wood_stats,
 )
 from .errors import BoundsTooSmall, SearchCapExceeded, VerificationError
 from .fieldforge import construct_fields
 from .geodesics import geodesic_length_real_quadratic, height_and_length_bounds, surface_obstruction
 from .primeforge import select_q_primes, verify_splitting_matrix
-from .quadfields import QuadraticField, SplitType, primes_above, splitting
+from .quadfields import QuadraticField, SplitType, primes_above, splitting, wood_stats
 from .quatalg import QuatAlgK, QuatAlgQ, embeds, fuchsian_admissible, recover_ramification
 from .volumes import fuchsian_coarea
 

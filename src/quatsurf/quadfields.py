@@ -1,4 +1,4 @@
-"""Quadratic fields, fundamental discriminants, and prime splitting.
+"""Quadratic fields, fundamental discriminants, prime splitting and its statistics.
 
 A quadratic field is presented by its fundamental discriminant only; prime
 ideals are presented symbolically as (rational prime, square-root residue)
@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from . import arith
 
@@ -286,3 +286,87 @@ def count_fundamental_discriminants(x: int, sign: str = "both") -> int:
     discriminant values built."""
     import numpy as np
     return sum(int(np.count_nonzero(masks)) for _, masks in _fundamental_blocks(x, sign))
+
+
+class WoodStats(NamedTuple):
+    count: int
+    predicted: float
+    ratio: float | None
+
+
+def wood_stats(q_split: int | None, q_inert: Sequence[int], x: int) -> WoodStats:
+    """Count imaginary fundamental discriminants with prescribed splitting.
+
+    Counts |delta| <= x with q_split split and every listed prime inert, and
+    compares with the independence heuristic (6/pi^2)*x * (1/2) * prod over the
+    primes of ell/(2*ell+2), the probability of either prescribed behavior after
+    ramification eats 1/(ell+1).  Contradictory constraints (one prime on both
+    sides) give count 0 and predicted 0.
+
+    Reads the imaginary row of _fundamental_blocks.  (-a|q) depends on a mod m,
+    m = q (8 for q = 2), so a condition with q <= BLOCK is a period-m bool
+    pattern, one kronecker_row over a period, run and sliced at lo mod m as
+    _fundamental_blocks does its class patterns, and ANDed into the row in place,
+    so no block allocates a window.  A q > BLOCK falls back to kronecker_row on
+    the survivors of the short conditions, the only discriminant values built.
+    """
+    import numpy as np
+    if x < 10**4:
+        raise ValueError("x too small for meaningful statistics")
+    q_inert = list(q_inert)
+    if len(set(q_inert)) != len(q_inert):
+        raise ValueError("duplicate primes in the inert list")
+    conditions = [(q, -1) for q in q_inert] + ([(q_split, 1)] if q_split is not None else [])
+    for q, _ in conditions:
+        if not arith.is_prime(q):
+            raise ValueError(f"{q} is not prime")
+    if q_split is not None and q_split in q_inert:
+        return WoodStats(0, 0.0, None)
+
+    patterns = [kronecker_row(-np.arange(8 if q == 2 else q), q) == symbol for q, symbol in conditions if q <= BLOCK]
+    short = [(len(pattern), np.resize(pattern, len(pattern) + min(x, BLOCK))) for pattern in patterns]
+    long = [(q, symbol) for q, symbol in conditions if q > BLOCK]
+    count = 0
+    for lo, (neg,) in _fundamental_blocks(x, "imaginary"):
+        for m, run in short:
+            neg &= run[lo % m :][: len(neg)]
+        if long:
+            discs = -(lo + np.flatnonzero(neg))
+            for q, symbol in long:
+                discs = discs[kronecker_row(discs, q) == symbol]
+            count += len(discs)
+        else:
+            count += int(np.count_nonzero(neg))
+
+    predicted = (6 / math.pi**2) * x * 0.5
+    for q, _ in conditions:
+        predicted *= q / (2 * q + 2)
+    return WoodStats(count, predicted, count / predicted if predicted > 0 else None)
+
+
+class RamificationCheck(NamedTuple):
+    count: int
+    total: int
+    ratio: float
+    target: float
+
+
+def ramification_probability_check(ell: int, x: int) -> RamificationCheck:
+    """Fraction of fundamental discriminants |delta| <= x divisible by ell.
+
+    Divisibility by ell is exactly ramification of ell; across the family of
+    quadratic fields (both signatures) the fraction converges to 1/(ell+1).
+    Reads both rows of _fundamental_blocks: ell | delta = +-a is the column
+    slice masks[:, (-lo) % ell :: ell] of a block starting at a = lo, for any
+    ell, so no discriminant values and no kronecker_row are needed.
+    """
+    import numpy as np
+    if not arith.is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
+    if x < 10**4:
+        raise ValueError("x too small for meaningful statistics")
+    count = total = 0
+    for lo, masks in _fundamental_blocks(x):
+        total += int(np.count_nonzero(masks))
+        count += int(np.count_nonzero(masks[:, (-lo) % ell :: ell]))
+    return RamificationCheck(count, total, count / total, 1 / (ell + 1))

@@ -12,10 +12,15 @@ striking a boolean strip and the subset walk lists them by a depth-first
 walk over products of members; the L-value oracles sum mpmath's Hurwitz zeta,
 the same functional-equation series as the package in mpmath's incomplete
 gamma functions, or, in float64, trigamma values over one period of chi
-from quadfields.symbol_column, so the period sum shares no code with the
-package's series, which takes chi from scalar arith.kronecker.
-The wood count oracle builds every imaginary discriminant as an int64 value
-and applies one kronecker_row filter per condition.
+from character_table, which multiplies out its symbols at the primes.  Those
+symbols are written out here (Euler's criterion, the mod-8 rule at 2: scalar
+in _prime_symbol, over an array in symbol_oracle), so the period sum shares
+no code with the package's series, which takes chi from scalar
+arith.kronecker, nor with quadfields.symbol_column.  The wood count oracle
+sieves the imaginary fundamental discriminants by their definition
+(imaginary_discs_oracle) and filters them with symbol_oracle, one condition
+at a time: it shares neither the block engine nor kronecker_row with
+wood_stats.
 """
 
 import functools
@@ -26,7 +31,7 @@ import numpy as np
 
 from quatsurf import arith
 from quatsurf.errors import VerificationError
-from quatsurf.quadfields import SplitType, discriminant_blocks, is_fundamental_discriminant, kronecker_row, symbol_column
+from quatsurf.quadfields import SplitType
 
 
 ENUMERATION_LIMIT = 10**6
@@ -226,48 +231,116 @@ def unit_full_cycle_oracle(d: int):
     return a_coef, b_coef, norm
 
 
+def _squarefree_oracle(m: int) -> bool:
+    m = abs(m)
+    return m != 0 and all(m % (q * q) != 0 for q in range(2, math.isqrt(m) + 1))
+
+
+def _fundamental_oracle(d: int) -> bool:
+    """d = 1 (mod 4) squarefree, or d = 4m with m = 2, 3 (mod 4) squarefree; d = 0, 1 excluded."""
+    if d in (0, 1):
+        return False
+    if d % 4 == 1:
+        return _squarefree_oracle(d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and _squarefree_oracle(d // 4)
+
+
 def fundamental_discs_oracle(x: int, sign: str) -> list[int]:
     """Fundamental discriminants by per-integer definition checking."""
-
-    def fundamental(d):
-        def squarefree(m):
-            m = abs(m)
-            return m != 0 and all(m % (q * q) != 0 for q in range(2, math.isqrt(m) + 1))
-
-        if d in (0, 1):
-            return False
-        if d % 4 == 1:
-            return squarefree(d)
-        return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4)
-
     out = []
     for a in range(3, x + 1):
-        if sign in ("imaginary", "both") and fundamental(-a):
+        if sign in ("imaginary", "both") and _fundamental_oracle(-a):
             out.append(-a)
-        if sign in ("real", "both") and fundamental(a):
+        if sign in ("real", "both") and _fundamental_oracle(a):
             out.append(a)
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def imaginary_discs_oracle(x: int) -> np.ndarray:
+    """The imaginary fundamental discriminants -x <= D <= -3, ascending in |D|, as a
+    read-only int64 array: _fundamental_oracle's definition over the whole range at
+    once.  Its squarefree parts, D or D/4, are never divisible by 4, so only the
+    squares of odd primes q <= sqrt(x), found by trial division, are struck."""
+    free = np.ones(x + 1, dtype=bool)
+    for q in range(3, math.isqrt(x) + 1, 2):
+        if all(q % r for r in range(3, math.isqrt(q) + 1, 2)):
+            free[:: q * q] = False
+    a = np.arange(x + 1)
+    odd = ((-a) % 4 == 1) & free
+    even = (a % 4 == 0) & np.isin((-a // 4) % 4, (2, 3)) & free[a // 4]
+    discs = -np.flatnonzero((odd | even) & (a >= 3))
+    discs.flags.writeable = False
+    return discs
+
+
+def symbol_oracle(a: np.ndarray, p: int) -> np.ndarray:
+    """(a|p) as int8 for each integer of the int64 array a, for a prime p: for odd p
+    Euler's criterion a^((p-1)/2) mod p by left-to-right square-and-multiply in
+    int64 (exact while p^2 < 2^63), for p = 2 the rule 0 at even a, 1 at
+    a = +-1 (mod 8), -1 at a = +-3 (mod 8)."""
+    if p == 2:
+        return np.where(a % 2 == 0, 0, np.where(np.isin(a % 8, (1, 7)), 1, -1)).astype(np.int8)
+    base = a % p
+    power = np.ones_like(base)
+    for bit in bin((p - 1) // 2)[2:]:
+        power *= power
+        power %= p
+        if bit == "1":
+            power *= base
+            power %= p
+    return np.where(power == p - 1, -1, power).astype(np.int8)
+
+
+def _prime_symbol(a: int, p: int) -> int:
+    """(a|p) for one prime p by symbol_oracle's rules, in Python integers."""
+    if p == 2:
+        return 0 if a % 2 == 0 else 1 if a % 8 in (1, 7) else -1
+    euler = pow(a, (p - 1) // 2, p)
+    return -1 if euler == p - 1 else euler
+
+
 def character_table(delta: int) -> np.ndarray:
     """chi_delta(n) = (delta|n) for 0 <= n < |delta|, as int8, for a fundamental
-    discriminant delta: symbol_column over n = 0, 1, ..., |delta| - 1, a column
-    |delta| long, so it takes the period route at every n, composite or not."""
-    if not is_fundamental_discriminant(delta):
+    discriminant delta: _prime_symbol at each prime p < |delta|, extended to every
+    n by complete multiplicativity, chi(n) = chi(p) * chi(n/p) for the least prime
+    p | n from a sieve of least prime factors; chi(0) = 0, as |delta| > 1."""
+    if not _fundamental_oracle(delta):
         raise ValueError(f"{delta} is not a fundamental discriminant")
-    return symbol_column(delta, np.arange(abs(delta)))
+    q = abs(delta)
+    n = np.arange(q)
+    least = np.zeros(q, dtype=np.int64)
+    for p in range(2, math.isqrt(q - 1) + 1):
+        if least[p] == 0:
+            run = least[p * p :: p]
+            run[run == 0] = p
+    least = np.where(least == 0, n, least)  # a prime is its own least factor
+    chi = np.zeros(q, dtype=np.int8)
+    chi[1] = 1
+    for p in np.flatnonzero((least == n) & (n >= 2)).tolist():
+        chi[p] = _prime_symbol(delta, p)
+    # composite n: multiply in one least prime factor per round; the cofactors
+    # still above 1 stay live, so each n takes as many rounds as it has factors
+    live = np.flatnonzero((least != n) & (n >= 2))
+    rest = live // least[live]
+    chi[live] = chi[least[live]]
+    while len(live):
+        done = rest == 1
+        live, rest = live[~done], rest[~done]
+        chi[live] *= chi[least[rest]]
+        rest //= least[rest]
+    return chi
 
 
 def wood_count_oracle(q_split, q_inert, x: int) -> int:
     """Imaginary fundamental discriminants |D| <= x with q_split split and every
-    q in q_inert inert, counted by filtering the int64 values block by block."""
+    q in q_inert inert: imaginary_discs_oracle(x) filtered by one symbol_oracle per
+    condition."""
     conditions = [(q, -1) for q in q_inert] + ([(q_split, 1)] if q_split is not None else [])
-    count = 0
-    for discs in discriminant_blocks(x, "imaginary"):
-        for q, symbol in conditions:
-            discs = discs[kronecker_row(discs, q) == symbol]
-        count += len(discs)
-    return count
+    discs = imaginary_discs_oracle(x)
+    for q, symbol in conditions:
+        discs = discs[symbol_oracle(discs, q) == symbol]
+    return len(discs)
 
 
 def recover_oracle(delta_k: int, pairing: list[int], d_bound: int, prime_bound: int) -> tuple[set[int], int]:

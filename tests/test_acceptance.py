@@ -17,12 +17,12 @@ from fractions import Fraction
 import pytest
 
 from quatsurf import arith
-from quatsurf.census import count_squarefree_over_P, prime_density_report, ramification_probability_check, wood_stats
+from quatsurf.census import count_squarefree_over_P, prime_density_report
 from quatsurf.errors import CriterionOutOfScope
 from quatsurf.fieldforge import construct_fields
 from quatsurf.geodesics import TraceClass, classify_trace, fundamental_unit, geodesic_length_real_quadratic, length_from_trace
 from quatsurf.primeforge import nth_prime_in_ap, select_q_primes, verify_splitting_matrix
-from quatsurf.quadfields import QuadraticField, SplitType, fundamental_discriminants, primes_above, splitting
+from quatsurf.quadfields import QuadraticField, SplitType, fundamental_discriminants, primes_above, ramification_probability_check, splitting, wood_stats
 from quatsurf.quatalg import QuatAlgK, recover_ramification
 from quatsurf.relquad import splitting_in_L
 from quatsurf.volumes import dirichlet_L2, fuchsian_coarea, kleinian_covolume

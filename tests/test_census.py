@@ -13,13 +13,11 @@ from quatsurf.census import (
     count_squarefree_over_P,
     mean_value_fit,
     prime_density_report,
-    ramification_probability_check,
     squarefree_values,
-    wood_stats,
 )
 from quatsurf.errors import BoundaryPrimeError, VerificationError
 from quatsurf.fieldforge import construct_fields
-from quatsurf.quadfields import QuadraticField, SplitType, fundamental_discriminants, splitting
+from quatsurf.quadfields import QuadraticField, SplitType, fundamental_discriminants, ramification_probability_check, splitting, wood_stats
 from quatsurf.quatalg import embeds, fuchsian_admissible, is_isomorphic
 from quatsurf.relquad import RelQuadExt
 
@@ -336,6 +334,24 @@ class TestMembersScan:
         extended = pred.members_up_to(3 * SEGMENT + 5)
         assert view.tolist() == before and before == extended[extended <= SEGMENT].tolist()
         assert np.array_equal(extended, PrimePredicate(-4, family_n1.extensions).members_up_to(3 * SEGMENT + 5))
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("hook", ["trace", "profile"])
+    def test_scan_under_a_tracer(self, family_n1, hook, shards):
+        # a trace or profile function, as debuggers, profilers and coverage set,
+        # holds references that ndarray.resize's reference check counts
+        import sys
+
+        bound = 3 * SEGMENT
+        want = PrimePredicate(-4, family_n1.extensions).members_up_to(bound)
+        get, set_hook = getattr(sys, "get" + hook), getattr(sys, "set" + hook)
+        previous = get()
+        set_hook(lambda *args: None)
+        try:
+            got = PrimePredicate(-4, family_n1.extensions).members_up_to(bound, shards=shards)
+        finally:
+            set_hook(previous)
+        assert np.array_equal(got, want)
 
     def test_in_P_beyond_scan_limit(self, predicate_n1):
         from sympy.ntheory import is_quad_residue, sqrt_mod

@@ -71,3 +71,53 @@ def test_resolved_needs_nine_tenths_and_a_gap_wider_than_the_parent_iqr():
     assert summary(parent, [p - 0.05 for p in parent]).endswith("change better in 10/10, unresolved")
     # 10/10 losses cannot resolve a gain, however wide the gap
     assert summary(parent, [33.0] * 10).endswith("change better in 0/10, unresolved")
+
+
+def test_bench_out_records_what_the_summary_prints(tmp_path, monkeypatch, capsys):
+    # run.py's stdout is canned per (checkout, workload, seed): subprocess.run is
+    # replaced, so no child starts; the change's units run at seed 2 prints no result
+    roots = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for root in roots.values():
+        (root / "src").mkdir(parents=True)
+    spec = {"workloads": [{"name": "census"}, {"name": "units"}], "end_to_end": [{"name": "peak_rss_mb", "better": "lower"}, {"name": "wall_s", "better": "lower"}]}
+    (roots["change"] / "BENCHMARK.json").write_text(json.dumps(spec))
+    canned = {}
+    for side, shift in (("parent", 0.0), ("change", -0.5)):
+        for workload in ("census", "units"):
+            for seed in (1, 2, 3):
+                canned[side, workload, seed] = line(30 + seed + shift, 1 + seed / 10, failed=int(side == "change" and seed == 3))
+    canned["change", "units", 2] = None
+
+    def fake_run(argv, cwd, **kwargs):
+        side = next(side for side, root in roots.items() if root.resolve() == cwd)
+        result = canned[side, argv[argv.index("--workload") + 1], int(argv[argv.index("--seed") + 1])]
+        env = {"commit": side, "python": "3.11.7", "numpy": "1.26.4", "nproc": 2}
+        stdout = "perfbench census-seed1-full-trace0: steps\nenv " + json.dumps(env) + "\nwall_s 1.1 s\n" + (result or "")
+        return pairs.subprocess.CompletedProcess(argv, 0 if result else 1, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH_0.json"
+    argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]), "--pairs", "3", "--seconds", "1", "--bench-out", str(out)]
+    assert pairs.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    record = json.loads(out.read_text())
+
+    results = [(workload, seed - 1, side, canned[side, workload, seed]) for (side, workload, seed) in canned]
+    assert record["workloads"] == pairs.compare(results, {"peak_rss_mb": "lower", "wall_s": "lower"})
+    assert record["command"] == "python3 tools/pairs.py " + " ".join(argv)
+    assert {side: env["commit"] for side, env in record["env"].items()} == {"parent": "parent", "change": "change"}
+    assert record["workloads"]["units"]["lost_runs"] == {"parent": 0, "change": 1}
+    assert record["workloads"]["census"]["failed"]["change"] == {"failed": 1, "attempted": 60}
+    # every metric the summary prints is in the file, with its medians and verdict
+    rows = {}
+    for text in printed:
+        if text.startswith("  "):
+            rows[workload, text.split(":")[0].strip()] = text
+        else:
+            workload = text.split(":")[0]
+    assert set(rows) == {(w, m) for w, entry in record["workloads"].items() for m in entry["metrics"]}
+    for (workload, metric), text in rows.items():
+        entry = record["workloads"][workload]["metrics"][metric]
+        assert f"parent {entry['parent']['median']:.4g} " in text and f"change {entry['change']['median']:.4g} " in text
+        assert text.endswith(f"change better in {entry['wins']}/{entry['paired']}, {entry['verdict']}")
+    assert record["workloads"]["census"]["metrics"]["peak_rss_mb"]["verdict"] == "unresolved"  # 3/3 wins, but 0.5 MB inside the parent's interquartile range of 2 MB

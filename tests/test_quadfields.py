@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quatsurf import arith, census, quadfields, quatalg
-from quatsurf.census import SEGMENT, PrimePredicate, ramification_probability_check, wood_stats
+from quatsurf.census import SEGMENT, PrimePredicate
 from quatsurf.quadfields import (
     QuadraticField,
     SplitType,
@@ -17,9 +17,11 @@ from quatsurf.quadfields import (
     is_fundamental_discriminant,
     kronecker_row,
     primes_above,
+    ramification_probability_check,
     split_primes_prefix,
     splitting,
     symbol_column,
+    wood_stats,
 )
 from quatsurf.quatalg import QuatAlgK, recover_ramification
 from quatsurf.relquad import RelQuadExt
@@ -383,11 +385,14 @@ class TestResidueTableBound:
 
 
 class TestCharacterTable:
+    # the oracle against scalar symbols, and symbol_column's period route, taken at
+    # every n of a column |d| long, composite or not, against the oracle
     def test_matches_kronecker(self):
         for d in fundamental_discriminants(2000):
             table = character_table(d)
             assert table.dtype == np.int8 and len(table) == abs(d), d
             assert table.tolist() == [arith.kronecker(d, n) for n in range(abs(d))], d
+            assert symbol_column(d, np.arange(abs(d))).tolist() == table.tolist(), d
 
     def test_rejects_non_fundamental(self):
         for d in (0, 1, -1, 9, -12, 20, -16):
@@ -400,6 +405,7 @@ class TestCharacterTable:
             table = character_table(d)
             assert table.dtype == np.int8, d
             assert table.tolist() == [arith.kronecker(d, n) for n in range(abs(d))], d
+            assert symbol_column(d, np.arange(abs(d))).tolist() == table.tolist(), d
         with pytest.raises(ValueError):
             character_table(-12)
 

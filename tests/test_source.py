@@ -1,14 +1,16 @@
 """Rules that hold for the package source as a whole."""
 
 import ast
+import io
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
 
 import quatsurf
-from quatsurf import census
+from quatsurf import census, quadfields
 
 
 def test_no_assert_statements():
@@ -70,6 +72,7 @@ def test_scalar_layer_runs_without_numpy():
     code = """if True:
         import sys
         from quatsurf import QuadraticField, QuatAlgK, geodesic_length_real_quadratic, kleinian_covolume, primes_above, split_primes_prefix
+        from quatsurf import wood_stats  # the discriminant reductions resolve without numpy or census
         lengths = [geodesic_length_real_quadratic(d).length for d in (1000033, 1000037)]
         k = QuadraticField(-10007)
         p = split_primes_prefix(k, 1).primes[0]
@@ -84,10 +87,49 @@ def test_public_names_resolve():
     # the census names resolve on first access, through the package's __getattr__
     for name in quatsurf.__all__:
         assert getattr(quatsurf, name) is not None, name
-    for name in ("AlgebraCensus", "PrimePredicate", "algebra_census", "wood_stats"):
+    for name in ("AlgebraCensus", "PrimePredicate", "algebra_census"):
         assert getattr(quatsurf, name) is getattr(census, name)
+    for name in ("wood_stats", "ramification_probability_check"):
+        assert getattr(quatsurf, name) is getattr(quadfields, name)
     namespace = {}
     exec("from quatsurf import *", namespace)
     assert set(quatsurf.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="no_such_name"):
         quatsurf.no_such_name
+
+
+def _private_reads(path: Path) -> list[str]:
+    """module.name reads, and from-imports, of a single-underscore name of
+    another quatsurf module in the source at path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    siblings = {path.stem for path in path.parent.glob("*.py")}
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("quatsurf")):
+            for alias in node.names:
+                if node.module in (None, "quatsurf") and alias.name in siblings:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_") and not node.attr.startswith("__"):
+                found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # an underscore name is its module's own layout; a second module that
+    # reads it knows that layout too, and breaks when it changes
+    modules = sorted(Path(quatsurf.__file__).parent.glob("*.py"))
+    assert [found for path in modules for found in _private_reads(path)] == []
+
+
+def test_modules_below_token_step():
+    # CPython 3.11's parser doubles its token array at 4,096 tokens (tokenize's,
+    # without NL and COMMENT): a module past that costs 0.04-0.08 MB of peak RSS
+    # in every process that compiles it
+    for path in sorted(Path(quatsurf.__file__).parent.glob("*.py")):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        count = sum(token.type not in (tokenize.NL, tokenize.COMMENT) for token in tokens)
+        assert count < 4096, (path.name, count)

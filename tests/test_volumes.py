@@ -118,7 +118,7 @@ class TestDirichletL2:
 
     # every 2-part class with |delta| just past 128: odd (-131, 129, 133), -4m (-132),
     # +4m (140), +8m (136, 152), -8m (-136, -152).  The series takes chi from
-    # arith.kronecker, the period sum from one period of quadfields.symbol_column
+    # arith.kronecker, the period sum from one period of the oracle's character_table
     @pytest.mark.parametrize("delta", [-131, 129, 133, -132, 140, 136, 152, -136, -152])
     def test_every_two_part_class(self, delta):
         want = dirichlet_L2_oracle(delta)
