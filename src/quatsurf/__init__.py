@@ -7,7 +7,9 @@ coarea formulas of the associated arithmetic groups.
 
 One thread per process: OPENBLAS_NUM_THREADS defaults to 1 unless already set.
 numpy loads only with quatsurf.cli or quatsurf.census, or at the first call
-that builds arrays; the census names below resolve on first access.
+that builds arrays; the census names below resolve on first access.  The
+public names, __all__, are every class and function imported here from a
+quatsurf module, and the census names.
 """
 
 import os
@@ -75,82 +77,26 @@ from .relquad import (
 from .volumes import count_scaling, dirichlet_L2, fuchsian_coarea, kleinian_covolume
 
 
+# the census names, imported on first access (PEP 562): census is the one
+# module that loads numpy at import, so the scalar layer runs without it
+_CENSUS_NAMES = (
+    "AlgebraCensus",
+    "PrimePredicate",
+    "algebra_census",
+    "count_squarefree_over_P",
+    "mean_value_fit",
+    "prime_density_report",
+)
+
+
 def __getattr__(name):
-    """The census names, imported on first access (PEP 562): census is the one
-    module that loads numpy at import, so the scalar layer runs without it."""
-    census_names = (
-        "AlgebraCensus",
-        "PrimePredicate",
-        "algebra_census",
-        "count_squarefree_over_P",
-        "mean_value_fit",
-        "prime_density_report",
-    )
-    if name in census_names:
+    if name in _CENSUS_NAMES:
         from . import census
         return getattr(census, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "AlgebraCensus",
-    "BoundaryPrimeError",
-    "BoundsTooSmall",
-    "CriterionOutOfScope",
-    "EmbeddingUndecidable",
-    "FieldConstruction",
-    "GeodesicLength",
-    "PrimeOfK",
-    "PrimePredicate",
-    "QSelection",
-    "QuadraticField",
-    "QuarticPoly",
-    "QuatAlgK",
-    "QuatAlgQ",
-    "RealQuadraticUnit",
-    "RelQuadExt",
-    "SearchCapExceeded",
-    "SplitType",
-    "TraceClass",
-    "VerificationError",
-    "algebra_census",
-    "base_change",
-    "classify_trace",
-    "compositum_degree_check",
-    "construct_fields",
-    "count_fundamental_discriminants",
-    "count_scaling",
-    "count_squarefree_over_P",
-    "dirichlet_L2",
-    "disc_upper_bound",
-    "embeds",
-    "find_xi",
-    "fuchsian_admissible",
-    "fuchsian_coarea",
-    "fundamental_discriminants",
-    "fundamental_unit",
-    "geodesic_length_real_quadratic",
-    "height_and_length_bounds",
-    "hensel_sqrt",
-    "is_fundamental_discriminant",
-    "is_galois_over_Q",
-    "is_isomorphic",
-    "kleinian_covolume",
-    "length_from_trace",
-    "mean_value_fit",
-    "minimal_polynomial",
-    "nth_prime_in_ap",
-    "poly_discriminant",
-    "prime_density_report",
-    "primes_above",
-    "ramification_probability_check",
-    "recover_ramification",
-    "relative_ramification",
-    "select_q_primes",
-    "split_primes_prefix",
-    "splitting",
-    "splitting_in_L",
-    "surface_obstruction",
-    "verify_splitting_matrix",
-    "wood_stats",
-]
+__all__ = sorted(
+    [name for name, value in globals().items() if getattr(value, "__module__", "").startswith(__name__ + ".")]
+    + list(_CENSUS_NAMES)
+)

@@ -11,6 +11,7 @@ an algebra from the quadratic fields its rational ancestors can contain.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain, tee
 from typing import NamedTuple
 
 from . import arith
@@ -187,8 +188,9 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
     bounds grow; the truncation at (d_bound, prime_bound) is the caller's.
     Memory is one block of discriminants, one sieve window and the surviving
     primes: the candidates up to prime_bound are walked, never listed.  The
-    auxiliary primes are one ascending list kept across blocks and sieved
-    only as far as some block has needed them.
+    auxiliary primes are one lazy ascending stream, sieved window by window
+    only as far as some block has read, which each block rereads through a
+    tee whose untouched twin buffers what the blocks before it read.
     """
     import numpy as np
     pairing = fuchsian_admissible(b)
@@ -200,17 +202,8 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
         for lo in range(2, prime_bound + 1, arith.SEGMENT):
             yield arith.primes_between(lo, min(prime_bound, lo + arith.SEGMENT - 1))
 
-    nonsplit: list[np.ndarray] = []  # the primes <= prime_bound nonsplit in k, one array per sieve window, kept across blocks
-    unsieved = windows()
-
-    def aux_primes():  # the nonsplit primes ascending; the next window is sieved only when a block reads past the last
-        j = 0
-        while j < len(nonsplit) or (qs := next(unsieved, None)) is not None:
-            if j == len(nonsplit):
-                nonsplit.append(qs[symbol_column(b.delta_k, qs) != 1])
-            yield from map(int, nonsplit[j])
-            j += 1
-
+    # the primes <= prime_bound nonsplit in k, ascending; the chain holds a window's nonsplit primes, never the window
+    nonsplit = map(int, chain.from_iterable(map(lambda qs: qs[symbol_column(b.delta_k, qs) != 1], windows())))
     surviving: np.ndarray | None = None  # the candidates, once the first admissible block has struck them
     admissible = 0
     for discs in discriminant_blocks(d_bound):
@@ -218,13 +211,12 @@ def recover_ramification(b: QuatAlgK, d_bound: int, prime_bound: int) -> Recover
             discs = discs[kronecker_row(discs, p) != 1]
         if need_aux:
             pending = np.arange(len(discs))  # the fields every auxiliary prime so far splits in
-            for q in aux_primes():
+            nonsplit, aux = tee(nonsplit)
+            for q in aux:
                 pending = pending[kronecker_row(discs[pending], q) == 1]
                 if len(pending) == 0:
                     break
-            kept = np.ones(len(discs), dtype=bool)
-            kept[pending] = False
-            discs = discs[kept]
+            discs = np.delete(discs, pending)
         if len(discs) == 0:
             continue
         admissible += len(discs)

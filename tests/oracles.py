@@ -101,11 +101,19 @@ def squarefree_count_sieve_oracle(pred, bound: int, segment: int = 1 << 20) -> i
     and of every p^2, count survivors.
 
     Processes [2, bound] in disjoint segments; each segment is an independent
-    boolean strip, so the merge is plain addition.
+    boolean strip, so the merge is plain addition.  The primes come from a
+    sieve of Eratosthenes of its own, not from arith's; the members still come
+    from the caller's scan, pred.members_up_to, which TestMembersScan checks
+    against prime_in_P_oracle.
     """
     members = pred.members_up_to(bound)
     member_set = {int(m) for m in members}
-    all_primes = [int(p) for p in arith.primes_up_to(bound)]
+    prime = np.ones(bound + 1, dtype=bool)
+    prime[:2] = False
+    for q in range(2, math.isqrt(bound) + 1):
+        if prime[q]:
+            prime[q * q :: q] = False
+    all_primes = np.flatnonzero(prime).tolist()
     non_members = [p for p in all_primes if p not in member_set]
     squares = [p * p for p in all_primes if p * p <= bound]
     total = 0

@@ -1,8 +1,11 @@
-"""tools/pairs.py's summary, on canned run.py result lines (no subprocess)."""
+"""tools/pairs.py's summary, on canned run.py result lines and scale runs (no subprocess)."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 SPEC = importlib.util.spec_from_file_location("pairs", Path(__file__).resolve().parents[1] / "tools" / "pairs.py")
 pairs = importlib.util.module_from_spec(SPEC)
@@ -121,3 +124,97 @@ def test_bench_out_records_what_the_summary_prints(tmp_path, monkeypatch, capsys
         assert f"parent {entry['parent']['median']:.4g} " in text and f"change {entry['change']['median']:.4g} " in text
         assert text.endswith(f"change better in {entry['wins']}/{entry['paired']}, {entry['verdict']}")
     assert record["workloads"]["census"]["metrics"]["peak_rss_mb"]["verdict"] == "unresolved"  # 3/3 wins, but 0.5 MB inside the parent's interquartile range of 2 MB
+
+
+def test_src_digest_names_the_package_source(tmp_path):
+    # two trees with the same src/quatsurf/*.py read the same digest, whatever
+    # else they hold; a changed byte or a renamed module changes it
+    trees = [tmp_path / "a", tmp_path / "b"]
+    for root in trees:
+        (root / "src" / "quatsurf").mkdir(parents=True)
+        (root / "src" / "quatsurf" / "__init__.py").write_text("from .arith import kronecker\n")
+        (root / "src" / "quatsurf" / "arith.py").write_text("def kronecker(a, n):\n    return 1\n")
+    (trees[1] / "README.md").write_text("not source\n")
+    (trees[1] / "src" / "quatsurf" / "__pycache__").mkdir()
+    (trees[1] / "src" / "quatsurf" / "__pycache__" / "arith.cpython-311.pyc").write_bytes(b"\0")
+    a, b = (pairs.src_digest(root) for root in trees)
+    assert a == b and len(a) == 64
+    (trees[1] / "src" / "quatsurf" / "arith.py").write_text("def kronecker(a, n):\n    return -1\n")
+    assert pairs.src_digest(trees[1]) != a
+    (trees[1] / "src" / "quatsurf" / "arith.py").write_text("def kronecker(a, n):\n    return 1\n")
+    assert pairs.src_digest(trees[1]) == a
+    (trees[1] / "src" / "quatsurf" / "arith.py").rename(trees[1] / "src" / "quatsurf" / "arith2.py")
+    assert pairs.src_digest(trees[1]) != a
+
+
+def scale_trees(tmp_path):
+    roots = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for side, root in roots.items():
+        (root / "src" / "quatsurf").mkdir(parents=True)
+        (root / "src" / "quatsurf" / "cli.py").write_text(f"# {side}\n")
+    spec = {"workloads": [{"name": "census"}], "end_to_end": [{"name": "wall_s", "better": "lower"}]}
+    (roots["change"] / "BENCHMARK.json").write_text(json.dumps(spec))
+    return roots
+
+
+def test_scale_medians_alternate_and_go_to_bench_out(tmp_path, monkeypatch, capsys):
+    # run_case is replaced by canned results, and subprocess.run refuses, so no
+    # child starts and no workload runs: --scale without --workloads runs the cases only
+    roots = scale_trees(tmp_path)
+    order = []
+
+    def fake_case(root, case):
+        side = next(side for side, r in roots.items() if r.resolve() == root)
+        order.append((case, side))
+        n = sum(1 for c, s in order if (c, s) == (case, side))
+        rss = {"parent": 33.1, "change": 33.0}[side] + n / 100
+        return {"wall_s": n / 10, "max_rss_mb": rss, "exit": 0, "stdout_sha256": hashlib.sha256(case.encode()).hexdigest()}
+
+    monkeypatch.setattr(pairs, "run_case", fake_case)
+    monkeypatch.setattr(pairs.subprocess, "run", lambda *a, **k: pytest.fail("a workload ran"))
+    out = tmp_path / "BENCH_0.json"
+    cases = ["recover --delta -7 --pairs 11 --d-bound 1e7 --p-bound 1e5", "units --n 1"]
+    argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]), "--pairs", "3", "--scale", *cases, "--bench-out", str(out)]
+    assert pairs.main(argv) == 0
+    assert order == [(case, side) for case in cases for i in range(3) for side in pairs.alternate(i)]
+    assert order[:4] == [(cases[0], "parent"), (cases[0], "change"), (cases[0], "change"), (cases[0], "parent")]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [
+        f"{cases[0]}: 3 parent and 3 change runs, exit 0, stdout sha256 {hashlib.sha256(cases[0].encode()).hexdigest()[:16]} on every run",
+        "  wall_s: parent 0.2 -> change 0.2 (medians)",
+        "  max_rss_mb: parent 33.12 -> change 33.02 (medians)",
+        f"{cases[1]}: 3 parent and 3 change runs, exit 0, stdout sha256 {hashlib.sha256(cases[1].encode()).hexdigest()[:16]} on every run",
+        "  wall_s: parent 0.2 -> change 0.2 (medians)",
+        "  max_rss_mb: parent 33.12 -> change 33.02 (medians)",
+    ]
+    record = json.loads(out.read_text())
+    assert record["workloads"] == {} and record["env"] == {}
+    assert record["src_sha256"] == {side: pairs.src_digest(root) for side, root in roots.items()}
+    assert record["src_sha256"]["parent"] != record["src_sha256"]["change"]
+    for case in cases:
+        entry = record["scale"][case]
+        assert (entry["exit"], entry["stdout_sha256"]) == ([0], [hashlib.sha256(case.encode()).hexdigest()])
+        for side, rss in (("parent", 33.12), ("change", 33.02)):
+            assert entry[side] == {"runs": 3, "wall_s": pytest.approx(0.2), "max_rss_mb": pytest.approx(rss)}
+
+
+def test_scale_refuses_when_outputs_differ(tmp_path, monkeypatch, capsys):
+    # one change run prints other bytes: the run exits 1, says so and writes no file
+    roots = scale_trees(tmp_path)
+    runs = iter(range(100))
+
+    def fake_case(root, case):
+        odd = next(runs) == 3
+        return {"wall_s": 1.0, "max_rss_mb": 33.0, "exit": 0, "stdout_sha256": ("b" if odd else "a") * 64}
+
+    monkeypatch.setattr(pairs, "run_case", fake_case)
+    out = tmp_path / "BENCH_0.json"
+    argv = ["--parent", str(roots["parent"]), "--change", str(roots["change"]), "--pairs", "2", "--scale", "units --n 1", "--bench-out", str(out)]
+    assert pairs.main(argv) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "units --n 1: 2 parent and 2 change runs, OUTPUTS DIFFER: exit codes [0], 2 stdout digests"
+    assert "no --bench-out file written" in captured.err
+    # an exit code that differs refuses as well
+    scale = pairs.compare_scale([("c", "parent", {"wall_s": 1, "max_rss_mb": 1, "exit": 0, "stdout_sha256": "a"}), ("c", "change", {"wall_s": 1, "max_rss_mb": 1, "exit": 3, "stdout_sha256": "a"})])
+    assert scale["c"]["exit"] == [0, 3]

@@ -98,6 +98,23 @@ def test_public_names_resolve():
         quatsurf.no_such_name
 
 
+def test_all_is_the_imported_names_and_the_census_names():
+    # __all__ is derived from the package namespace; read from the source instead,
+    # it is every name of a `from .x import ...` and the census tuple, so a constant
+    # imported there, which the derivation drops, shows up as a difference, and a
+    # public helper defined there, which it drops too, is refused outright
+    tree = ast.parse(Path(quatsurf.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    defined = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    defined += [target.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets if isinstance(target, ast.Name)]
+    assert [name for name in defined if not name.startswith("_")] == []
+    tuples = [node.value for node in tree.body if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)]
+    assert len(tuples) == 1
+    census_names = [ast.literal_eval(element) for element in tuples[0].elts]
+    assert census_names and not set(census_names) & set(imported)
+    assert quatsurf.__all__ == sorted(imported + census_names)
+
+
 def _private_reads(path: Path) -> list[str]:
     """module.name reads, and from-imports, of a single-underscore name of
     another quatsurf module in the source at path."""
@@ -123,6 +140,27 @@ def test_no_module_reads_another_modules_private_names():
     # reads it knows that layout too, and breaks when it changes
     modules = sorted(Path(quatsurf.__file__).parent.glob("*.py"))
     assert [found for path in modules for found in _private_reads(path)] == []
+
+
+def test_oracles_read_only_the_scalar_layer():
+    # an oracle that calls the code it checks checks nothing: tests/oracles.py
+    # reads from quatsurf one scalar function, a type and an error, no engine
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    siblings = {path.stem for path in Path(quatsurf.__file__).parent.glob("*.py")}
+    modules, reads = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            reads.update(alias.name for alias in node.names if alias.name.split(".")[0] == "quatsurf")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quatsurf":
+            for alias in node.names:
+                if node.module == "quatsurf" and alias.name in siblings:
+                    modules.add(alias.asname or alias.name)
+                else:
+                    reads.add(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            reads.add(f"{node.value.id}.{node.attr}")
+    assert reads == {"arith.kronecker", "SplitType", "VerificationError"}
 
 
 def test_modules_below_token_step():
